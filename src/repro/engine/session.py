@@ -630,7 +630,8 @@ class NedSession:
         * ``"batching"`` — batch ticks / plans / dedup fan-out savings,
         * ``"cache"`` — exact-distance cache occupancy and capacity,
         * ``"batch_kernel"`` — array-native kernel work split (blocks,
-          batched vs fallback pairs, compiled trees; only when attached),
+          batched vs fallback pairs, compiled trees and memo evictions;
+          only when attached),
         * ``"shards"`` — shard loads / evictions / residency (sharded
           stores only).
 
@@ -654,6 +655,7 @@ class NedSession:
                 "batched_pairs": kernel.batched_pairs,
                 "fallback_pairs": kernel.fallback_pairs,
                 "compiled_trees": kernel.compiled_trees,
+                "compiled_evictions": kernel.compiled_evictions,
             }
         store = self.store
         if isinstance(store, ShardedTreeStore):

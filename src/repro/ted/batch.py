@@ -1,69 +1,78 @@
-"""Array-native batch TED* kernel over packed parent arrays.
+"""Array-native batch TED* kernel: segmented evaluation of whole blocks.
 
 The per-pair kernel (:mod:`repro.ted.ted_star`) already avoids the
 algorithmic traps — AHU-canonical inputs, label-pair memoized costs, SciPy
-assignment — so the remaining cost of a cold distance-matrix build is pure
-Python-object churn: per pair, per level, it rebuilds children collections
-as sorted tuples, canonizes them through a Python sort, and broadcasts a
-``dict``-memoized cost into a list-of-lists matrix.  This module exploits
-the structure *inside* the computation instead (the way RTED's heavy-path
-decomposition does for classic TED): it pre-compiles each tree once into
-contiguous numpy arrays and evaluates **many pairs per call** with
-vectorized per-level steps.
+assignment — so what remains of a cold distance-matrix build is Python
+overhead: per pair and per level, a dozen small array or list operations.
+This module removes it by running Algorithm 1 for **every pair of a block at
+once**: each level is one set of array operations over the concatenated
+rows of all pairs (a *segmented* layout, one segment per pair), and the only
+per-pair work left is the assignment solver itself.
 
-The key layout fact comes from :func:`repro.trees.canonize.canonical_form`:
-the canonical representative numbers nodes in BFS order with children
-visited contiguously, so in the canonical parent array
+The layout rests on :func:`repro.trees.canonize.canonical_form`: the
+canonical representative numbers nodes in BFS order with children visited
+contiguously, so the nodes of depth ``d`` occupy one contiguous id range and
+a node's position within its level is its row in the level's matrices.  A
+:class:`CompiledTree` is just the level sizes plus, per depth, each node's
+parent position within the level above — enough to run Algorithm 1 without
+touching a :class:`~repro.trees.tree.Tree` again.
 
-* the nodes of depth ``d`` occupy one contiguous id range
-  (``level_starts[d] .. level_starts[d+1]``), and
-* the children of any node occupy one contiguous id range.
+For a level of ``n = max(size_left, size_right)`` nodes, pair ``p`` owns
+``2n`` consecutive rows: its left nodes, padded with empty collections to
+``n``, then its right nodes, padded likewise.  Bottom up, each level then
+takes
 
-A :class:`CompiledTree` is just those boundaries plus each node's position
-within its parent's level — enough to run Algorithm 1 without ever touching
-a :class:`~repro.trees.tree.Tree` again.  Per level the kernel then
+1. one flat ``bincount`` for the children-label *count rows* of every pair
+   (a collection is a multiset; a count row over the pair's alphabet of the
+   level below represents it exactly; rows are padded to the widest
+   alphabet of the block, and the zero columns change nothing),
+2. one joint sort keyed by pair id for the canonization labels (equal rows
+   of one pair get one label, numbered from 0 within the pair),
+3. one cost broadcast for the pairs that need the solver — ``n >= 2`` and
+   more than one distinct collection — laying out each pair's ``n × n``
+   float64 matrix of multiset symmetric differences back to back (in runs
+   of a few hundred KiB, so hub blocks stay small in memory),
+4. :func:`scipy.optimize.linear_sum_assignment` on each of those matrices;
+   every other pair's assignment is the identity (its matrix is all zeros,
+   or ``1 × 1``),
+5. vector arithmetic for the padding and matching costs and for the
+   re-canonization of the whole block.
 
-1. builds both sides' children-label *count vectors* with one ``bincount``
-   (a collection is a multiset; a count row over the alphabet of the level
-   below represents it exactly),
-2. canonizes jointly with one lexicographic ranking of the stacked rows
-   (``np.unique(..., axis=0, return_inverse=True)``),
-3. materializes the complete bipartite cost matrix as one contiguous
-   ``float64`` array via the distinct-label broadcast trick
-   (``|U_i - U_j|.sum()`` is the multiset symmetric difference, gathered
-   through the label indices), and
-4. solves it with :func:`scipy.optimize.linear_sum_assignment`, skipping
-   the solver outright when every collection on the level is identical
-   (always true on the bottom level, where children fall outside the
-   ``k``-level view).
+The root level is always ``1 × 1`` and nothing is canonized above it, so it
+reduces to one symmetric difference per pair; a level whose collections are
+all empty (the bottom of the ``k``-level view) costs only its padding.
 
-**Bit-identity.**  The batch kernel is exactly value-equal to
-``ted_star(..., backend="scipy")``, not merely close: every per-level cost
-matrix entry is a multiset symmetric-difference size, which is invariant
-under any relabeling that preserves collection equality — so ranking
-collections by count-row order instead of the per-pair ``(len, content)``
-order feeds ``linear_sum_assignment`` the *same float64 matrix*, which
-returns the same assignment, the same re-canonization, and the same
-distance, bit for bit.  The property suite asserts this over random tree
-blocks, and the engine's value-identity checks re-assert it on every CI
-smoke run.
+**Bit-identity.**  Values equal ``ted_star(..., backend="scipy")`` exactly,
+not merely closely.  Every cost matrix entry is a multiset symmetric
+difference, which depends only on which children share a label, never on
+the label values; the count-row labels induce the same equalities as the
+per-pair kernel's ``(len, content)`` ranking, so each solver call receives
+the same float64 matrix, returns the same assignment and leads to the same
+re-canonization, level after level.  All sums are of small integers (and
+halves of them) in float64, hence exact in any order.  The property suite
+asserts this over random blocks, and the benchmark's recorded digests
+re-assert it on every run.
 
-Pairs whose level sizes would make the contiguous arrays pathological
-(``max_level_cells``) fall back to the per-pair kernel pinned to the scipy
-backend — same values, bounded memory.  When numpy or SciPy are missing the
-kernel cannot be constructed at all (:func:`batch_available` is the guard);
-the resolver then stays on the per-pair path.
+Pairs whose level sizes would make the arrays pathological
+(``max_level_cells``) are evaluated in place by the per-pair kernel pinned
+to the scipy backend — same values, bounded memory — and a block whose
+combined arrays would exceed the budget is evaluated in halves.  When numpy
+or SciPy are missing the kernel cannot be constructed at all
+(:func:`batch_available` is the guard); the resolver then stays on the
+per-pair path.
 
 Consumers do not call this module directly: the kernel is an exact-tier
 backend of :class:`repro.ted.resolver.BoundedNedDistance`
 (``backend="batch"``, auto-adopted by sessions when the store side-channel
 and SciPy are available), reached through ``resolve_many()`` /
-``exact_many()`` block resolution.
+``exact_many()`` block resolution, and the engine of every ``ned-serve``
+worker.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from collections import OrderedDict
+from typing import List, Optional, Sequence, Tuple
 
 from repro.exceptions import DistanceError
 from repro.ted.ted_star import _canonical, ted_star
@@ -75,17 +84,31 @@ from repro.utils.validation import check_positive_int
 #: ``m`` labels stays array-native only while ``n*n`` (cost matrix) and
 #: ``n*(m+1)`` (count rows) fit the budget.  The default admits levels of
 #: ~2000 nodes (a ~32 MB float64 cost matrix) — far beyond the k-adjacent
-#: trees the engine stores — while keeping adversarial inputs bounded.
+#: trees the engine stores — while keeping adversarial inputs bounded.  The
+#: same budget caps a whole block's level arrays.
 DEFAULT_MAX_LEVEL_CELLS = 1 << 22
+
+#: Compiled trees one kernel keeps (least recently used are evicted first).
+#: Far above any store's size, so it only bounds a long-lived server that
+#: keeps seeing new probe trees.
+MAX_COMPILED_TREES = 1 << 16
+
+#: Cost-matrix cells the solver step builds at once (512 KiB of float64):
+#: a block of hub pairs is solved in runs, so its transient arrays stay this
+#: size instead of growing with the block.  Values do not depend on it.
+_SOLVE_CELLS = 1 << 16
+
+#: Exclusive bound of the packed integer sort keys of :func:`_canonize_rows`.
+_KEY_LIMIT = 1 << 62
 
 _np = None
 _lsa = None
-_ZERO_LABELS = None  # shared length-1 zero label array (read-only by contract)
+_EMPTY = None  # shared empty position array (read-only by contract)
 
 
 def _load_numpy():
     """Import numpy + SciPy's assignment solver lazily (tier-1 runs without)."""
-    global _np, _lsa, _ZERO_LABELS
+    global _np, _lsa, _EMPTY
     if _np is None:
         import numpy
 
@@ -93,7 +116,7 @@ def _load_numpy():
 
         _np = numpy
         _lsa = linear_sum_assignment
-        _ZERO_LABELS = numpy.zeros(1, dtype=numpy.int64)
+        _EMPTY = numpy.zeros(0, dtype=numpy.int64)
     return _np
 
 
@@ -107,23 +130,21 @@ def batch_available() -> bool:
 
 
 class CompiledTree:
-    """One tree pre-compiled into the contiguous arrays the kernel consumes.
+    """One tree pre-compiled into the arrays the kernel consumes.
 
     Built from the AHU-canonical parent array, whose BFS numbering makes
     both levels and sibling groups contiguous id ranges:
 
-    * ``level_starts[d] .. level_starts[d+1]`` are the nodes of depth ``d``
-      (``level_sizes`` is the diff),
-    * ``parent_pos[v]`` is the position of ``v``'s parent *within its own
-      level* — the row index of ``v``'s contribution to the parent level's
-      children count matrix.
+    * ``level_sizes[d]`` is the number of nodes of depth ``d``,
+    * ``parent_positions(d)`` gives each depth-``d`` node's parent's
+      position *within its own level* — the row that node contributes to
+      in the level above's count rows.
 
     ``key`` is the per-pair kernel's ``_normalise_order`` sort key, so the
     batch kernel orients every pair exactly as ``ted_star`` would.
     """
 
-    __slots__ = ("signature", "size", "height", "level_starts", "level_sizes",
-                 "parent_pos", "key")
+    __slots__ = ("signature", "size", "height", "level_sizes", "key", "_positions", "_padded")
 
     def __init__(self, parents: Sequence[int], signature: str) -> None:
         np = _load_numpy()
@@ -148,29 +169,27 @@ class CompiledTree:
         starts = [0, 1]
         while starts[-1] < size:
             starts.append(int(child_starts[starts[-1]]))
-        self.level_starts = np.asarray(starts, dtype=np.int64)
-        self.level_sizes = np.diff(self.level_starts)
         self.size = size
         self.height = len(starts) - 2
         self.signature = signature
         self.key = (size, self.height, signature)
-        depth = np.empty(size, dtype=np.int64)
-        for d in range(len(starts) - 1):
-            depth[starts[d]:starts[d + 1]] = d
-        parent_pos = np.zeros(size, dtype=np.int64)
-        if size > 1:
-            parent_pos[1:] = par[1:] - self.level_starts[depth[1:] - 1]
-        self.parent_pos = parent_pos
+        self.level_sizes = tuple(b - a for a, b in zip(starts, starts[1:]))
+        self._positions = (_EMPTY,) + tuple(
+            par[starts[d]:starts[d + 1]] - starts[d - 1]
+            for d in range(1, len(starts) - 1)
+        )
+        self._padded = {}
 
-    def level_size(self, depth: int) -> int:
-        """Nodes at ``depth`` (0 beyond the height)."""
-        if depth > self.height:
-            return 0
-        return int(self.level_sizes[depth])
+    def sizes(self, k: int) -> Tuple[int, ...]:
+        """Level sizes of depths ``0 .. k-1`` (zero beyond the height), memoized per k."""
+        padded = self._padded.get(k)
+        if padded is None:
+            padded = self._padded[k] = (self.level_sizes + (0,) * k)[:k]
+        return padded
 
-    def level_parent_positions(self, depth: int):
-        """``parent_pos`` slice of the nodes at ``depth`` (a view)."""
-        return self.parent_pos[self.level_starts[depth]:self.level_starts[depth + 1]]
+    def parent_positions(self, depth: int):
+        """Parent positions of the depth-``depth`` nodes (empty beyond the height)."""
+        return self._positions[depth] if depth <= self.height else _EMPTY
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"CompiledTree(size={self.size}, height={self.height})"
@@ -179,13 +198,14 @@ class CompiledTree:
 class BatchTedKernel:
     """Evaluate blocks of TED* pairs over pre-compiled tree arrays.
 
-    One kernel instance memoizes compiled trees by canonical signature
-    (unbounded — a compiled tree is a few small arrays), so a store is
-    compiled at most once per session regardless of how many blocks touch
+    One kernel instance memoizes compiled trees by canonical signature, so a
+    store is compiled at most once per session however many blocks touch
     it; :meth:`precompile_store` does it eagerly for benchmarks and warm
-    process starts.  ``blocks`` / ``batched_pairs`` / ``fallback_pairs``
-    count the work split between the array path and the per-pair fallback
-    (sessions surface them via ``metrics_snapshot()['batch_kernel']``).
+    process starts.  The memo keeps the :data:`MAX_COMPILED_TREES` most
+    recently used trees (``compiled_evictions`` counts the rest).
+    ``blocks`` / ``batched_pairs`` / ``fallback_pairs`` count the work
+    split between the array path and the per-pair fallback (sessions
+    surface them via ``metrics_snapshot()['batch_kernel']``).
     """
 
     def __init__(self, max_level_cells: int = DEFAULT_MAX_LEVEL_CELLS) -> None:
@@ -196,15 +216,16 @@ class BatchTedKernel:
             )
         check_positive_int(max_level_cells, "max_level_cells")
         self.max_level_cells = max_level_cells
-        self._compiled: Dict[str, CompiledTree] = {}
+        self._compiled: "OrderedDict[str, CompiledTree]" = OrderedDict()
         self.blocks = 0
         self.batched_pairs = 0
         self.fallback_pairs = 0
+        self.compiled_evictions = 0
 
     # ------------------------------------------------------------ compilation
     @property
     def compiled_trees(self) -> int:
-        """Distinct isomorphism classes compiled so far."""
+        """Distinct isomorphism classes currently memoized."""
         return len(self._compiled)
 
     def compile(self, tree: Tree, signature: Optional[str] = None) -> CompiledTree:
@@ -216,15 +237,22 @@ class BatchTedKernel:
         :class:`~repro.engine.tree_store.StoredTree`) is only a memo key
         hint; the canonical form is authoritative.
         """
+        memo = self._compiled
         if signature is not None:
-            cached = self._compiled.get(signature)
+            cached = memo.get(signature)
             if cached is not None:
+                memo.move_to_end(signature)
                 return cached
         canonical, canonical_signature = _canonical(tree)
-        cached = self._compiled.get(canonical_signature)
-        if cached is None:
-            cached = CompiledTree(canonical.parent_array(), canonical_signature)
-            self._compiled[canonical_signature] = cached
+        cached = memo.get(canonical_signature)
+        if cached is not None:
+            memo.move_to_end(canonical_signature)
+            return cached
+        cached = CompiledTree(canonical.parent_array(), canonical_signature)
+        memo[canonical_signature] = cached
+        if len(memo) > MAX_COMPILED_TREES:
+            memo.popitem(last=False)
+            self.compiled_evictions += 1
         return cached
 
     def precompile_store(self, store) -> int:
@@ -247,117 +275,138 @@ class BatchTedKernel:
         summary carrying ``.tree`` (and optionally ``.signature``).  Values
         are bit-identical to the per-pair scipy path; pairs whose level
         sizes exceed ``max_level_cells`` are evaluated through it directly.
+        Every pair is validated before any work is counted, so a malformed
+        pair raises :class:`~repro.exceptions.DistanceError` with the
+        counters untouched.
         """
         check_positive_int(k, "k")
-        self.blocks += 1
-        values: List[float] = []
-        for first, second in pairs:
-            tree_a, sig_a = _tree_and_signature(first)
-            tree_b, sig_b = _tree_and_signature(second)
+        resolved = [
+            (_tree_and_signature(first), _tree_and_signature(second))
+            for first, second in pairs
+        ]
+        np = _np
+        oriented = []
+        flat_sizes: List[int] = []
+        for (tree_a, sig_a), (tree_b, sig_b) in resolved:
             left = self.compile(tree_a, sig_a)
             right = self.compile(tree_b, sig_b)
-            if self._eligible(left, right, k):
-                self.batched_pairs += 1
-                values.append(self._evaluate_pair(left, right, k))
-            else:
-                self.fallback_pairs += 1
-                values.append(ted_star(tree_a, tree_b, k=k, backend="scipy"))
+            if right.key < left.key:
+                left, right = right, left
+            oriented.append((left, right))
+            flat_sizes += left.sizes(k)
+            flat_sizes += right.sizes(k)
+        # sizes[depth, side, pair]: side 0 is the left tree, 1 the right one.
+        sizes = np.array(flat_sizes, dtype=np.int64).reshape(len(oriented), 2, k).T
+        fits = _fits(np, sizes, self.max_level_cells).tolist()
+        values = [0.0] * len(oriented)
+        # Isomorphic pairs are exactly 0 and need no levels at all.
+        segmented = [
+            index for index, (left, right) in enumerate(oriented)
+            if fits[index] and left.signature != right.signature
+        ]
+        if segmented:
+            totals = self._evaluate(
+                [oriented[index] for index in segmented], sizes[:, :, segmented], k
+            )
+            for index, total in zip(segmented, totals.tolist()):
+                values[index] = total
+        for index, fit in enumerate(fits):
+            if not fit:
+                (tree_a, _), (tree_b, _) = resolved[index]
+                values[index] = ted_star(tree_a, tree_b, k=k, backend="scipy")
+        batched = sum(fits)
+        self.blocks += 1
+        self.batched_pairs += batched
+        self.fallback_pairs += len(fits) - batched
         return values
 
-    def _eligible(self, left: CompiledTree, right: CompiledTree, k: int) -> bool:
-        """Level-size screen: do the per-level arrays fit the cell budget?"""
-        budget = self.max_level_cells
-        for depth in range(k):
-            n = max(left.level_size(depth), right.level_size(depth))
-            if depth + 1 < k:
-                below = left.level_size(depth + 1) + right.level_size(depth + 1)
-            else:
-                below = 0
-            if n * max(n, 2 * below + 1) > budget:
-                return False
-        return True
+    def _evaluate(self, trees: List[Tuple[CompiledTree, CompiledTree]], sizes, k: int):
+        """Algorithm 1 for oriented, non-isomorphic pairs, all at once.
 
-    def _evaluate_pair(self, left: CompiledTree, right: CompiledTree, k: int) -> float:
-        """One pair through the vectorized Algorithm 1 (see module docstring).
-
-        Mirrors ``ted_star_detailed`` step for step: same pair orientation,
-        same padding, the same float64 cost matrices (hence the same scipy
-        assignments), the same re-canonization and the same clamp.
+        ``sizes[depth, side, pair]`` are the level sizes.  Returns the
+        float64 distances.  Mirrors ``ted_star_detailed`` step for step (see
+        the module docstring).  A level of ``H`` rows per side puts every
+        pair's left rows first (pair ``p`` at ``starts[p] .. + n[p]``) and
+        the right rows ``H`` further on.  A block whose level arrays would
+        exceed ``max_level_cells`` is evaluated in halves, which changes no
+        value.
         """
         np = _np
-        if right.key < left.key:
-            left, right = right, left
-        if left.signature == right.signature:
-            return 0.0
-        total = 0.0
-        padding_below = 0
-        labels_left = labels_right = None  # final labels of the level below
-        alphabet = 0  # distinct labels of the level below
+        count = len(trees)
+        if count > 1 and _block_cells(np, sizes) > self.max_level_cells:
+            half = count // 2
+            return np.concatenate((
+                self._evaluate(trees[:half], sizes[:, :, :half], k),
+                self._evaluate(trees[half:], sizes[:, :, half:], k),
+            ))
+        # Trees in row order: every pair's left tree, then every right tree;
+        # side_sizes[depth] lists their level sizes in that order.
+        sides_of = [left for left, _ in trees] + [right for _, right in trees]
+        side_sizes = np.ascontiguousarray(sizes).reshape(k, 2 * count)
+        n = sizes.max(axis=1)
+        padding = np.abs(sizes[:, 0] - sizes[:, 1])
+        adopts = sizes[:, 0] < sizes[:, 1]  # the left side is the padded one
+        ends = n.cumsum(axis=1)
+        rows_per_side = ends[:, -1].tolist()
+        starts = ends - n
+        side_starts = np.concatenate((starts, starts + ends[:, -1:]), axis=1)
+        pair_ids = np.arange(count)
+        matching = np.zeros(count)
+        alphabet = np.zeros(count, dtype=np.int64)  # distinct labels one level down
+        labels = _EMPTY  # final labels of the real nodes one level down
         for depth in range(k - 1, -1, -1):
-            size_left = left.level_size(depth)
-            size_right = right.level_size(depth)
-            if size_left == 0 and size_right == 0:
-                # Deeper than both trees: levels are contiguous, so nothing
-                # below this depth existed either (padding_below is 0).
+            width = int(alphabet.max())
+            if width == 0:
+                # No children in view (always true on the bottom level):
+                # every collection is empty, so the matching cost is zero
+                # and all nodes of a pair share one label.
+                labels = np.zeros(int(side_sizes[depth].sum()), dtype=np.int64)
+                alphabet = np.minimum(n[depth], 1)
                 continue
-            n = max(size_left, size_right)
-            padding_cost = abs(size_left - size_right)
-            # Children-label count rows; children are only visible while the
-            # level below is inside the k-level view (LevelView truncation).
-            if depth + 1 >= k:
-                below_left = below_right = None
-            else:
-                below_left, below_right = labels_left, labels_right
-            if n == 1:
-                # Singleton level (always the root, often the top of narrow
-                # trees): the 1x1 assignment cost is just the symmetric
-                # difference of the two collections, and the matched pair
-                # ends up sharing one label — no ranking, no solver.
-                total += padding_cost + _singleton_level_cost(
-                    np, alphabet, below_left, below_right, padding_below
+            padding_below = padding[depth + 1]
+            rows = rows_per_side[depth]
+            # Each child's row: its side's first row plus its parent's
+            # position (always 0 below the root).
+            children = side_starts[depth].repeat(side_sizes[depth + 1])
+            if depth:
+                children += np.concatenate(
+                    [tree.parent_positions(depth + 1) for tree in sides_of]
                 )
-                labels_left = _ZERO_LABELS[:size_left]
-                labels_right = _ZERO_LABELS[:size_right]
-                alphabet = 1
-                padding_below = padding_cost
-                continue
-            stacked = _stacked_level_counts(
-                np, left, right, depth, n, alphabet, below_left, below_right
+            counts = np.bincount(
+                children * width + labels, minlength=2 * rows * width
+            ).reshape(2 * rows, width)
+            if depth == 0:
+                # The root level is 1x1 for every pair: the assignment cost is
+                # the symmetric difference of the two roots' collections, and
+                # no labels are needed above it.
+                bipartite = np.abs(counts[:count] - counts[count:]).sum(axis=1)
+                matching += np.maximum((bipartite - padding_below) / 2.0, 0.0)
+                break
+            left_pair = pair_ids.repeat(n[depth])
+            canon, distinct = _canonize_rows(
+                np, counts, np.concatenate((left_pair, left_pair)), count
             )
-            uniques, labels = _rank_rows(np, stacked, alphabet)
-            canon_left = labels[:n]
-            canon_right = labels[n:]
-            distinct = int(uniques.shape[0])
-            if distinct <= 1:
-                # Every collection on the level is identical (always true on
-                # the bottom level): the cost matrix is all zeros, so the
-                # matching cost clamps to 0 and re-canonization is a no-op.
-                matching_cost = 0.0
-                final_left, final_right = canon_left, canon_right
-            else:
-                diff = _distinct_label_costs(np, uniques, self.max_level_cells)
-                cost = diff[canon_left[:, None], canon_right[None, :]]
-                rows, cols = _lsa(cost)
-                bipartite = float(cost[rows, cols].sum())
-                matching_cost = (bipartite - padding_below) / 2.0
-                if matching_cost < 0.0:
-                    matching_cost = 0.0
-                # Re-canonization: the padded (smaller-or-equal-by-order)
-                # side adopts the matched partner's label, exactly as the
-                # per-pair kernel does (rows come back as arange(n)).
-                if size_left < size_right:
-                    final_left = canon_right[cols]
-                    final_right = canon_right
-                else:
-                    final_right = np.empty(n, dtype=labels.dtype)
-                    final_right[cols] = canon_left
-                    final_left = canon_left
-            labels_left = final_left[:size_left]
-            labels_right = final_right[:size_right]
+            # The assignment as partner rows (left row -> matched right row):
+            # the identity unless the solver has a choice to make.
+            partners = np.arange(rows, 2 * rows)
+            solve = ((n[depth] >= 2) & (distinct >= 2)).nonzero()[0]
+            if solve.size:
+                _solve(np, counts, solve, n[depth], starts[depth], partners,
+                       self.max_level_cells)
+            row_costs = np.abs(counts[:rows] - counts.take(partners, axis=0)).sum(axis=1)
+            bipartite = np.bincount(left_pair, weights=row_costs, minlength=count)
+            matching += np.maximum((bipartite - padding_below) / 2.0, 0.0)
+            # Re-canonization: the padded (smaller-or-equal-by-order) side
+            # adopts its partner's label, as in the per-pair kernel, so both
+            # rows of a matched pair end with one label.
+            shared = np.where(adopts[depth][left_pair], canon[partners], canon[:rows])
+            final = np.empty_like(canon)
+            final[:rows] = shared
+            final[partners] = shared
+            labels = final[_ranges(np, side_starts[depth], side_sizes[depth])]
             alphabet = distinct
-            padding_below = padding_cost
-            total += padding_cost + matching_cost
-        return float(total)
+        # Padding and matching costs are integers and halves: exact in any order.
+        return padding.sum(axis=0) + matching
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -377,117 +426,117 @@ def _tree_and_signature(obj) -> Tuple[Tree, Optional[str]]:
     return tree, getattr(obj, "signature", None)
 
 
-def _stacked_level_counts(np, left: CompiledTree, right: CompiledTree,
-                          depth: int, n: int, alphabet: int,
-                          below_left, below_right):
-    """Both sides' children-label count matrices, stacked into one (2n, m).
+def _extents(np, sizes):
+    """Per depth and pair: the padded level size ``n`` and the nodes one level down."""
+    n = np.maximum(sizes[:, 0], sizes[:, 1])
+    below = np.zeros_like(n)
+    np.add(sizes[1:, 0], sizes[1:, 1], out=below[:-1])
+    return n, below
 
-    Row ``i`` is left node position ``i``'s collection, row ``n + j`` is
-    right position ``j``'s; padded nodes are all-zero rows — the empty
-    collections the per-pair kernel appends.  One flat ``bincount`` over
-    both sides builds the whole thing: each child at the level below
-    contributes 1 at ``(side offset + parent position, child label)``.
+
+def _fits(np, sizes, budget: int):
+    """Level-size screen per pair: do its level arrays fit the cell budget?"""
+    n, below = _extents(np, sizes)
+    return (n * np.maximum(n, 2 * below + 1) <= budget).all(axis=0)
+
+
+def _block_cells(np, sizes) -> int:
+    """Largest level array of a block: its count rows or its cost matrices."""
+    n, below = _extents(np, sizes)
+    count_rows = 2 * n.sum(axis=1) * (below.max(axis=1) + 1)
+    cost_cells = (n * n).sum(axis=1)
+    return int(np.maximum(count_rows, cost_cells).max())
+
+
+def _ranges(np, starts, lengths):
+    """Concatenation of ``arange(start, start + length)`` over the segments."""
+    ends = lengths.cumsum()
+    ranges = (starts - ends + lengths).repeat(lengths)
+    ranges += np.arange(ranges.size)
+    return ranges
+
+
+def _canonize_rows(np, counts, row_pair, pairs: int):
+    """Joint canonization: equal count rows of one pair get one label.
+
+    Rows are ranked by one sort of an integer key that packs the pair id
+    and the row's counts (mixed radix; re-ranked whenever the next column
+    would overflow it).  Returns ``(labels, distinct)``: labels count from
+    0 within each pair, and ``distinct[p]`` is pair ``p``'s number of
+    distinct collections.  Label *values* differ from the per-pair
+    kernel's ``(len, content)`` ranking, which is fine: symmetric-difference
+    costs depend only on which collections are equal.
     """
-    if alphabet == 0:
-        return np.zeros((2 * n, 0), dtype=np.int64)
-    parts = []
-    if below_left is not None and below_left.size:
-        parts.append(left.level_parent_positions(depth + 1) * alphabet + below_left)
-    if below_right is not None and below_right.size:
-        parts.append(
-            (right.level_parent_positions(depth + 1) + n) * alphabet + below_right
-        )
-    if not parts:
-        return np.zeros((2 * n, alphabet), dtype=np.int64)
-    flat = parts[0] if len(parts) == 1 else np.concatenate(parts)
-    return np.bincount(flat, minlength=2 * n * alphabet).reshape(2 * n, alphabet)
+    key = row_pair
+    bound = pairs  # key values lie in [0, bound)
+    base = int(counts.max()) + 1
+    for column in counts.T:
+        if bound > _KEY_LIMIT // base:
+            unique, key = np.unique(key, return_inverse=True)
+            bound = unique.size
+        key = key * base + column
+        bound *= base
+    order = key.argsort()
+    ordered = key[order]
+    new = np.empty(key.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    labels = np.empty(key.size, dtype=np.int64)
+    labels[order] = new.cumsum() - 1
+    distinct = np.bincount(row_pair[order[new]], minlength=pairs)
+    return labels - (distinct.cumsum() - distinct)[row_pair], distinct
 
 
-def _rank_rows(np, stacked, alphabet: int):
-    """Joint canonization: rank the stacked count rows lexicographically.
+def _solve(np, counts, solve, n, starts, partners, budget: int) -> None:
+    """Run the assignment solver for the pairs in ``solve``; write ``partners``.
 
-    Returns ``(uniques, labels)`` with ``uniques[labels[i]] == stacked[i]``
-    — the same contract as ``np.unique(..., axis=0, return_inverse=True)``
-    but via ``lexsort``/``argsort`` + run-boundary scan, which skips the
-    structured-dtype machinery that dominates the profile on small levels.
-    Label *values* differ from the per-pair kernel's ``(len, content)``
-    ranking, which is fine: symmetric-difference costs are invariant under
-    any relabeling that preserves collection equality.
+    Pairs go in runs whose cost matrices hold at most :data:`_SOLVE_CELLS`
+    cells (a larger pair runs alone), so a block of hub pairs never holds
+    all its matrices at once.
     """
-    rows = stacked.shape[0]
-    if alphabet == 0:
-        return np.zeros((1, 0), dtype=np.int64), np.zeros(rows, dtype=np.int64)
-    if alphabet == 1:
-        # 1-D values (plain child counts): rank through a bincount remap
-        # instead of a sort.
-        column = stacked[:, 0]
-        present = np.bincount(column) > 0
-        remap = np.cumsum(present) - 1
-        labels = remap[column]
-        uniques = np.nonzero(present)[0].reshape(-1, 1)
-        return uniques, labels
-    order = np.lexsort(stacked.T[::-1])
-    ordered = stacked[order]
-    boundaries = np.empty(rows, dtype=bool)
-    boundaries[0] = True
-    (ordered[1:] != ordered[:-1]).any(axis=1, out=boundaries[1:])
-    ranks = np.cumsum(boundaries) - 1
-    labels = np.empty(rows, dtype=np.int64)
-    labels[order] = ranks
-    return ordered[boundaries], labels
+    limit = min(budget, _SOLVE_CELLS)
+    width = counts.shape[1]
+    first = cells = 0
+    for index, size in enumerate(n[solve].tolist()):
+        if cells and cells + size * size * width > limit:
+            _solve_run(np, counts, solve[first:index], n, starts, partners, limit)
+            first = index
+            cells = 0
+        cells += size * size * width
+    _solve_run(np, counts, solve[first:], n, starts, partners, limit)
 
 
-def _singleton_level_cost(np, alphabet: int, below_left, below_right,
-                          padding_below: int) -> float:
-    """Matching cost of an ``n == 1`` level (root and narrow-top levels).
+def _solve_run(np, counts, solve, n, starts, partners, limit: int) -> None:
+    """One run of :func:`_solve`: one broadcast, then one solver call per pair.
 
-    The 1x1 assignment's cost is exactly the symmetric difference of the
-    two collections, so the solver and the ranking both collapse away:
-    ``max(0, (|counts_l - counts_r|.sum() - padding_below) / 2)``.
+    The cost matrices are laid out back to back in one flat float64 array,
+    so each solver call sees its pair's own contiguous ``n × n`` matrix —
+    exactly the per-pair kernel's.  Entry ``(i, j)`` is
+    ``|counts[left row i] - counts[right row j]|.sum()``: over count rows,
+    the multiset symmetric-difference size (float64 sums of small integers
+    are exact).  The broadcast goes in chunks of left rows of at most
+    ``limit`` cells, which is value-exact.
     """
-    if alphabet == 0:
-        return 0.0
-    counts_left = (
-        np.bincount(below_left, minlength=alphabet)
-        if below_left is not None and below_left.size
-        else None
-    )
-    counts_right = (
-        np.bincount(below_right, minlength=alphabet)
-        if below_right is not None and below_right.size
-        else None
-    )
-    if counts_left is None and counts_right is None:
-        return 0.0
-    if counts_left is None:
-        symdiff = int(counts_right.sum())
-    elif counts_right is None:
-        symdiff = int(counts_left.sum())
-    else:
-        symdiff = int(np.abs(counts_left - counts_right).sum())
-    matching_cost = (symdiff - padding_below) / 2.0
-    return matching_cost if matching_cost > 0.0 else 0.0
-
-
-def _distinct_label_costs(np, uniques, budget: int):
-    """Pairwise multiset symmetric differences of the distinct count rows.
-
-    ``|U_i - U_j|.sum()`` over count vectors *is* the symmetric-difference
-    size; float64 output feeds the assignment solver exactly what the
-    per-pair path's ``np.asarray(cost, dtype=float)`` would.  The broadcast
-    temporary is ``d × d × m``; rows are chunked so it never exceeds the
-    kernel's cell budget (chunking is value-exact).
-    """
-    d, m = uniques.shape
-    if d * d * m <= budget:
-        return np.abs(uniques[:, None, :] - uniques[None, :, :]).sum(
-            axis=2, dtype=np.float64
-        )
-    diff = np.empty((d, d), dtype=np.float64)
-    step = max(1, budget // (d * max(m, 1)))
-    for start in range(0, d, step):
-        stop = min(d, start + step)
-        diff[start:stop] = np.abs(
-            uniques[start:stop, None, :] - uniques[None, :, :]
-        ).sum(axis=2, dtype=np.float64)
-    return diff
+    sizes = n[solve]
+    left_rows = _ranges(np, starts[solve], sizes)
+    # Each left row's first right row: its pair's right rows start one side
+    # (``partners.size`` rows) after its left rows.
+    right_starts = (starts[solve] + partners.size).repeat(sizes)
+    row_sizes = sizes.repeat(sizes)  # cost entries per left row
+    offsets = row_sizes.cumsum() - row_sizes  # each row's first entry
+    left_counts = counts.take(left_rows, axis=0)
+    cost = np.empty(int(offsets[-1] + row_sizes[-1]))
+    step = max(1, limit // (counts.shape[1] * int(sizes.max())))
+    for first in range(0, row_sizes.size, step):
+        chunk = slice(first, first + step)
+        diff = left_counts[chunk].repeat(row_sizes[chunk], axis=0)
+        diff -= counts.take(_ranges(np, right_starts[chunk], row_sizes[chunk]), axis=0)
+        np.abs(diff, out=diff)
+        begin = int(offsets[first])
+        diff.sum(axis=1, dtype=np.float64, out=cost[begin:begin + diff.shape[0]])
+    matched = []
+    begin = 0
+    for size in sizes.tolist():
+        matched.append(_lsa(cost[begin:begin + size * size].reshape(size, size))[1])
+        begin += size * size
+    partners[left_rows] = right_starts + np.concatenate(matched)

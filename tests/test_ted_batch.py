@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from repro.engine import NedSession, TreeStore
 from repro.exceptions import DistanceError
 from repro.graph.generators import barabasi_albert_graph
+from repro.ted import batch as batch_module
 from repro.ted.batch import (
     BatchTedKernel,
     CompiledTree,
@@ -55,6 +56,51 @@ def bounded_trees(draw, max_nodes=12, max_depth=4):
 
 def scipy_reference(pairs, k):
     return [ted_star(a, b, k=k, backend="scipy") for a, b in pairs]
+
+
+def bits(values):
+    """Exact float representations, so comparisons are bitwise."""
+    return [value.hex() for value in values]
+
+
+#: A cell budget that keeps trees of up to ~5 nodes on the array path and
+#: sends any level of 9+ nodes to the per-pair fallback.
+SMALL_BUDGET = 64
+
+
+@st.composite
+def mixed_blocks(draw):
+    """A 20-80 pair block mixing every shape the segmented layout must handle.
+
+    A shared probe against many trees (the engine's usual block), identical
+    and isomorphic pairs, trees shorter than ``k`` on either side, and wide
+    trees whose levels exceed :data:`SMALL_BUDGET`, interleaved at random.
+    """
+    k = draw(st.integers(min_value=2, max_value=5))
+    probe = draw(bounded_trees(max_nodes=6, max_depth=3))
+    pairs = []
+    for _ in range(draw(st.integers(min_value=20, max_value=80))):
+        kind = draw(st.sampled_from(["probe", "identical", "short", "wide", "random"]))
+        if kind == "probe":
+            other = draw(bounded_trees(max_nodes=8, max_depth=4))
+            pair = (probe, other)
+        elif kind == "identical":
+            tree = draw(bounded_trees(max_nodes=8, max_depth=4))
+            pair = (tree, Tree(tree.parent_array()))
+        elif kind == "short":
+            # At most k - 1 levels; bounded_trees needs max_depth >= 1.
+            short = Tree([-1]) if k == 2 else draw(bounded_trees(max_nodes=4, max_depth=k - 2))
+            pair = (short, draw(bounded_trees(max_nodes=8, max_depth=4)))
+        elif kind == "wide":
+            width = draw(st.integers(min_value=9, max_value=14))
+            pair = (Tree([-1] + [0] * width), probe)
+        else:
+            pair = (
+                draw(bounded_trees(max_nodes=10, max_depth=4)),
+                draw(bounded_trees(max_nodes=10, max_depth=4)),
+            )
+        pairs.append(pair if draw(st.booleans()) else pair[::-1])
+    return pairs, k
 
 
 @pytest.fixture(scope="module")
@@ -131,6 +177,54 @@ class TestBatchKernelBitIdentity:
             kernel = BatchTedKernel(max_level_cells=cells)
             assert kernel.ted_star_block(pairs, k=k) == scipy_reference(pairs, k)
 
+    @settings(max_examples=20, deadline=None)
+    @given(mixed_blocks(), st.sampled_from([SMALL_BUDGET, 256, DEFAULT_MAX_LEVEL_CELLS]),
+           st.randoms(use_true_random=False))
+    def test_mixed_blocks_bitwise_permutation_and_singletons(self, block, cells, rnd):
+        pairs, k = block
+        kernel = BatchTedKernel(max_level_cells=cells)
+        values = kernel.ted_star_block(pairs, k=k)
+        # Each value equals the per-pair scipy kernel's, bit for bit.
+        assert bits(values) == bits(scipy_reference(pairs, k))
+        # Permuting the block permutes its values.
+        order = list(range(len(pairs)))
+        rnd.shuffle(order)
+        permuted = kernel.ted_star_block([pairs[i] for i in order], k=k)
+        assert bits(permuted) == bits([values[i] for i in order])
+        # Every value equals its pair evaluated as a one-pair block.
+        singles = [kernel.ted_star_block([pair], k=k)[0] for pair in pairs]
+        assert bits(singles) == bits(values)
+
+    def test_wide_alphabet_levels(self):
+        # Level 1 holds one node whose children carry 42 distinct labels,
+        # two of each: the packed sort key of that level's count rows would
+        # overflow 64 bits without re-ranking between columns.
+        def hub_tree(copies):
+            parents = [-1, 0]
+            for children, count in enumerate(copies):
+                for _ in range(count):
+                    node = len(parents)
+                    parents.append(1)
+                    parents.extend([node] * children)
+            return Tree(parents)
+
+        wide = hub_tree([2] * 42)
+        other = hub_tree([2] * 41 + [1])
+        pairs = [(wide, other), (other, wide), (wide, Tree([-1, 0, 1, 1]))]
+        kernel = BatchTedKernel()
+        assert bits(kernel.ted_star_block(pairs, k=4)) == bits(scipy_reference(pairs, 4))
+        assert kernel.fallback_pairs == 0
+
+    def test_small_budget_interleaves_fallback_and_batched_pairs(self):
+        wide = Tree([-1] + [0] * 10)
+        small = Tree([-1, 0, 0, 1])
+        chain = Tree([-1, 0, 1])
+        pairs = [(small, chain), (wide, small), (chain, small), (small, wide), (chain, chain)]
+        kernel = BatchTedKernel(max_level_cells=SMALL_BUDGET)
+        values = kernel.ted_star_block(pairs, k=3)
+        assert bits(values) == bits(scipy_reference(pairs, 3))
+        assert (kernel.batched_pairs, kernel.fallback_pairs) == (3, 2)
+
     def test_fallback_pairs_are_counted(self):
         tiny = BatchTedKernel(max_level_cells=1)
         left = random_tree_with_depth(20, 3, seed=1)
@@ -178,6 +272,40 @@ class TestBatchKernelCompilation:
         kernel = BatchTedKernel()
         with pytest.raises(DistanceError):
             kernel.ted_star_block([("not", "trees")], k=2)
+
+    def test_malformed_pair_mid_block_counts_nothing(self):
+        # The bad pair sits between good ones (one of them a fallback pair):
+        # the block raises and the counters still describe returned work only.
+        kernel = BatchTedKernel(max_level_cells=SMALL_BUDGET)
+        good = (Tree([-1, 0, 0]), Tree([-1, 0, 1]))
+        wide = (Tree([-1] + [0] * 10), Tree([-1, 0]))
+        expected = kernel.ted_star_block([good, wide], k=3)
+        before = (kernel.blocks, kernel.batched_pairs, kernel.fallback_pairs,
+                  kernel.compiled_trees, kernel.compiled_evictions)
+        with pytest.raises(DistanceError):
+            kernel.ted_star_block([good, wide, (good[0], "not a tree"), good], k=3)
+        assert (kernel.blocks, kernel.batched_pairs, kernel.fallback_pairs,
+                kernel.compiled_trees, kernel.compiled_evictions) == before
+        assert kernel.ted_star_block([good, wide], k=3) == expected
+
+    def test_compiled_memo_capped_lru(self, monkeypatch):
+        cap = 8
+        monkeypatch.setattr(batch_module, "MAX_COMPILED_TREES", cap)
+        kernel = BatchTedKernel()
+        anchor = Tree([-1, 0, 0, 1])
+        probes = [Tree([-1] + [0] * width) for width in range(1, 31)]
+        values = [kernel.ted_star_block([(probe, anchor)], k=3)[0] for probe in probes]
+        assert bits(values) == bits(scipy_reference([(p, anchor) for p in probes], 3))
+        # The memo holds the cap; the anchor, touched by every block, is
+        # never the least recently used entry and survives.
+        assert kernel.compiled_trees == cap
+        assert kernel.compiled_evictions == len(probes) + 1 - cap
+        kernel.compile(anchor)
+        assert kernel.compiled_evictions == len(probes) + 1 - cap
+        # Evicted probes recompile on demand, with unchanged values.
+        again = [kernel.ted_star_block([(probe, anchor)], k=3)[0] for probe in probes]
+        assert bits(again) == bits(values)
+        assert kernel.compiled_trees == cap
 
     def test_max_level_cells_validated(self):
         with pytest.raises(Exception):
@@ -320,7 +448,8 @@ class TestSessionBatchPolicy:
             assert session.resolver.batch_active
             snapshot = session.metrics_snapshot()
             assert set(snapshot["batch_kernel"]) == {
-                "blocks", "batched_pairs", "fallback_pairs", "compiled_trees"
+                "blocks", "batched_pairs", "fallback_pairs", "compiled_trees",
+                "compiled_evictions",
             }
 
     def test_batch_false_opts_out(self, store):
