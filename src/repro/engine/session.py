@@ -630,8 +630,8 @@ class NedSession:
         * ``"batching"`` — batch ticks / plans / dedup fan-out savings,
         * ``"cache"`` — exact-distance cache occupancy and capacity,
         * ``"batch_kernel"`` — array-native kernel work split (blocks,
-          batched vs fallback pairs, compiled trees and memo evictions;
-          only when attached),
+          batched vs fallback pairs, compiled trees, memo hits and
+          evictions, assignment-solver calls; only when attached),
         * ``"shards"`` — shard loads / evictions / residency (sharded
           stores only).
 
@@ -656,6 +656,8 @@ class NedSession:
                 "fallback_pairs": kernel.fallback_pairs,
                 "compiled_trees": kernel.compiled_trees,
                 "compiled_evictions": kernel.compiled_evictions,
+                "compiled_hits": kernel.compiled_hits,
+                "solver_calls": kernel.solver_calls,
             }
         store = self.store
         if isinstance(store, ShardedTreeStore):

@@ -7,7 +7,8 @@ overhead: per pair and per level, a dozen small array or list operations.
 This module removes it by running Algorithm 1 for **every pair of a block at
 once**: each level is one set of array operations over the concatenated
 rows of all pairs (a *segmented* layout, one segment per pair), and the only
-per-pair work left is the assignment solver itself.
+per-pair work left is the assignment solver itself, where a level has a
+choice that later levels depend on.
 
 The layout rests on :func:`repro.trees.canonize.canonical_form`: the
 canonical representative numbers nodes in BFS order with children visited
@@ -19,8 +20,8 @@ touching a :class:`~repro.trees.tree.Tree` again.
 
 For a level of ``n = max(size_left, size_right)`` nodes, pair ``p`` owns
 ``2n`` consecutive rows: its left nodes, padded with empty collections to
-``n``, then its right nodes, padded likewise.  Bottom up, each level then
-takes
+``n``, then its right nodes, padded likewise.  Bottom up, each level of
+depth ``k-1 .. 2`` then takes
 
 1. one flat ``bincount`` for the children-label *count rows* of every pair
    (a collection is a multiset; a count row over the pair's alphabet of the
@@ -38,9 +39,24 @@ takes
 5. vector arithmetic for the padding and matching costs and for the
    re-canonization of the whole block.
 
-The root level is always ``1 × 1`` and nothing is canonized above it, so it
-reduces to one symmetric difference per pair; a level whose collections are
-all empty (the bottom of the ``k``-level view) costs only its padding.
+A level whose collections are all empty (the bottom of the ``k``-level
+view) costs only its padding.  The top two levels need less:
+
+* **Depth 1** needs only each pair's optimal matching cost, since nothing
+  above it reads its labels — and the optimal cost is the same whichever
+  optimal matching a solver returns.  Where a pair's depth-2 nodes share
+  one label (always at ``k <= 3``), a collection is just its size, the cost
+  of a row pair is ``|deg u - deg v|`` and matching each side's degrees in
+  sorted order is optimal: one segmented sort per side for the whole
+  block, no canonization and no solver.  Pairs with a wider depth-2
+  alphabet take steps 1–4 for the cost only.
+* **The root level** is skipped: its matching cost is always 0.  After
+  depth 1's re-canonization the padded side's root collection is a
+  sub-multiset of the other side's, so their symmetric difference is
+  exactly the padding of depth 1, which the cost subtracts.
+
+So the solver runs only at depths ``>= 2``, or at depth 1 for pairs with a
+wider alphabet — never at ``k <= 3``.
 
 **Bit-identity.**  Values equal ``ted_star(..., backend="scipy")`` exactly,
 not merely closely.  Every cost matrix entry is a multiset symmetric
@@ -48,7 +64,8 @@ difference, which depends only on which children share a label, never on
 the label values; the count-row labels induce the same equalities as the
 per-pair kernel's ``(len, content)`` ranking, so each solver call receives
 the same float64 matrix, returns the same assignment and leads to the same
-re-canonization, level after level.  All sums are of small integers (and
+re-canonization, level after level, down to depth 1, whose optimal cost
+every optimal matching shares.  All sums are of small integers (and
 halves of them) in float64, hence exact in any order.  The property suite
 asserts this over random blocks, and the benchmark's recorded digests
 re-assert it on every run.
@@ -202,10 +219,12 @@ class BatchTedKernel:
     store is compiled at most once per session however many blocks touch
     it; :meth:`precompile_store` does it eagerly for benchmarks and warm
     process starts.  The memo keeps the :data:`MAX_COMPILED_TREES` most
-    recently used trees (``compiled_evictions`` counts the rest).
-    ``blocks`` / ``batched_pairs`` / ``fallback_pairs`` count the work
-    split between the array path and the per-pair fallback (sessions
-    surface them via ``metrics_snapshot()['batch_kernel']``).
+    recently used trees (``compiled_hits`` counts memo hits,
+    ``compiled_evictions`` the trees dropped).  ``blocks`` /
+    ``batched_pairs`` / ``fallback_pairs`` count the work split between the
+    array path and the per-pair fallback, and ``solver_calls`` the
+    assignment-solver calls of the array path (sessions surface them all
+    via ``metrics_snapshot()['batch_kernel']``).
     """
 
     def __init__(self, max_level_cells: int = DEFAULT_MAX_LEVEL_CELLS) -> None:
@@ -221,6 +240,8 @@ class BatchTedKernel:
         self.batched_pairs = 0
         self.fallback_pairs = 0
         self.compiled_evictions = 0
+        self.compiled_hits = 0
+        self.solver_calls = 0
 
     # ------------------------------------------------------------ compilation
     @property
@@ -242,11 +263,13 @@ class BatchTedKernel:
             cached = memo.get(signature)
             if cached is not None:
                 memo.move_to_end(signature)
+                self.compiled_hits += 1
                 return cached
         canonical, canonical_signature = _canonical(tree)
         cached = memo.get(canonical_signature)
         if cached is not None:
             memo.move_to_end(canonical_signature)
+            self.compiled_hits += 1
             return cached
         cached = CompiledTree(canonical.parent_array(), canonical_signature)
         memo[canonical_signature] = cached
@@ -354,7 +377,9 @@ class BatchTedKernel:
         matching = np.zeros(count)
         alphabet = np.zeros(count, dtype=np.int64)  # distinct labels one level down
         labels = _EMPTY  # final labels of the real nodes one level down
-        for depth in range(k - 1, -1, -1):
+        # No pass for the root level: its matching cost is always 0 (see the
+        # module docstring).
+        for depth in range(k - 1, 0, -1):
             width = int(alphabet.max())
             if width == 0:
                 # No children in view (always true on the bottom level):
@@ -363,50 +388,70 @@ class BatchTedKernel:
                 labels = np.zeros(int(side_sizes[depth].sum()), dtype=np.int64)
                 alphabet = np.minimum(n[depth], 1)
                 continue
-            padding_below = padding[depth + 1]
             rows = rows_per_side[depth]
             # Each child's row: its side's first row plus its parent's
-            # position (always 0 below the root).
+            # position within the level.
             children = side_starts[depth].repeat(side_sizes[depth + 1])
-            if depth:
-                children += np.concatenate(
-                    [tree.parent_positions(depth + 1) for tree in sides_of]
-                )
-            counts = np.bincount(
-                children * width + labels, minlength=2 * rows * width
-            ).reshape(2 * rows, width)
-            if depth == 0:
-                # The root level is 1x1 for every pair: the assignment cost is
-                # the symmetric difference of the two roots' collections, and
-                # no labels are needed above it.
-                bipartite = np.abs(counts[:count] - counts[count:]).sum(axis=1)
-                matching += np.maximum((bipartite - padding_below) / 2.0, 0.0)
-                break
-            left_pair = pair_ids.repeat(n[depth])
-            canon, distinct = _canonize_rows(
-                np, counts, np.concatenate((left_pair, left_pair)), count
+            children += np.concatenate(
+                [tree.parent_positions(depth + 1) for tree in sides_of]
             )
-            # The assignment as partner rows (left row -> matched right row):
-            # the identity unless the solver has a choice to make.
-            partners = np.arange(rows, 2 * rows)
-            solve = ((n[depth] >= 2) & (distinct >= 2)).nonzero()[0]
-            if solve.size:
-                _solve(np, counts, solve, n[depth], starts[depth], partners,
-                       self.max_level_cells)
-            row_costs = np.abs(counts[:rows] - counts.take(partners, axis=0)).sum(axis=1)
-            bipartite = np.bincount(left_pair, weights=row_costs, minlength=count)
-            matching += np.maximum((bipartite - padding_below) / 2.0, 0.0)
-            # Re-canonization: the padded (smaller-or-equal-by-order) side
-            # adopts its partner's label, as in the per-pair kernel, so both
-            # rows of a matched pair end with one label.
-            shared = np.where(adopts[depth][left_pair], canon[partners], canon[:rows])
-            final = np.empty_like(canon)
-            final[:rows] = shared
-            final[partners] = shared
-            labels = final[_ranges(np, side_starts[depth], side_sizes[depth])]
-            alphabet = distinct
+            left_pair = pair_ids.repeat(n[depth])
+            if depth == 1:
+                # Nothing above depth 1 reads its labels: only the optimal
+                # cost is needed, and it does not depend on which optimal
+                # matching a solver would pick.
+                bipartite = _degree_matching_cost(
+                    np, np.bincount(children, minlength=2 * rows), left_pair, count
+                )
+                if width >= 2:
+                    wide = alphabet >= 2
+                    solved = self._match(
+                        np, _count_rows(np, children, labels, rows, width),
+                        left_pair, n[depth], starts[depth], wide,
+                    )[3]
+                    bipartite = np.where(wide, solved, bipartite)
+            else:
+                canon, distinct, partners, bipartite = self._match(
+                    np, _count_rows(np, children, labels, rows, width),
+                    left_pair, n[depth], starts[depth], True,
+                )
+                # Re-canonization: the padded (smaller-or-equal-by-order)
+                # side adopts its partner's label, as in the per-pair
+                # kernel, so both rows of a matched pair end with one label.
+                shared = np.where(adopts[depth][left_pair], canon[partners], canon[:rows])
+                final = np.empty_like(canon)
+                final[:rows] = shared
+                final[partners] = shared
+                labels = final[_ranges(np, side_starts[depth], side_sizes[depth])]
+                alphabet = distinct
+            matching += np.maximum((bipartite - padding[depth + 1]) / 2.0, 0.0)
         # Padding and matching costs are integers and halves: exact in any order.
         return padding.sum(axis=0) + matching
+
+    def _match(self, np, counts, left_pair, n, starts, eligible):
+        """Canonize one level's count rows and match each pair's rows.
+
+        ``eligible`` masks the pairs the solver may run for (the others
+        keep the identity assignment).  Returns ``(labels, distinct,
+        partners, bipartite)``: the pair-local canonization labels, each
+        pair's number of distinct collections, each left row's matched
+        right row and each pair's bipartite matching cost.
+        """
+        count = n.size
+        rows = counts.shape[0] // 2
+        canon, distinct = _canonize_rows(
+            np, counts, np.concatenate((left_pair, left_pair)), count
+        )
+        # The assignment as partner rows (left row -> matched right row):
+        # the identity unless the solver has a choice to make.
+        partners = np.arange(rows, 2 * rows)
+        solve = (eligible & (n >= 2) & (distinct >= 2)).nonzero()[0]
+        if solve.size:
+            _solve(np, counts, solve, n, starts, partners, self.max_level_cells)
+            self.solver_calls += int(solve.size)
+        row_costs = np.abs(counts[:rows] - counts.take(partners, axis=0)).sum(axis=1)
+        bipartite = np.bincount(left_pair, weights=row_costs, minlength=count)
+        return canon, distinct, partners, bipartite
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -454,6 +499,29 @@ def _ranges(np, starts, lengths):
     ranges = (starts - ends + lengths).repeat(lengths)
     ranges += np.arange(ranges.size)
     return ranges
+
+
+def _count_rows(np, children, labels, rows: int, width: int):
+    """Children-label count rows of a level's ``2 * rows`` rows, ``width`` wide."""
+    return np.bincount(
+        children * width + labels, minlength=2 * rows * width
+    ).reshape(2 * rows, width)
+
+
+def _degree_matching_cost(np, degrees, left_pair, pairs: int):
+    """Each pair's optimal matching cost when collections are just sizes.
+
+    If all children of a pair's level share one label, the cost between two
+    rows is ``|deg u - deg v|``, and matching each side's degrees in sorted
+    order is optimal.  One sort of the packed key ``pair * (max + 1) +
+    degree`` per side sorts every pair's rows within its own segment, so
+    position ``i`` of both sorted sides belongs to the same pair and the
+    pair parts cancel in the difference.
+    """
+    rows = left_pair.size
+    key = left_pair * (int(degrees.max()) + 1)
+    gaps = np.abs(np.sort(key + degrees[:rows]) - np.sort(key + degrees[rows:]))
+    return np.bincount(left_pair, weights=gaps, minlength=pairs)
 
 
 def _canonize_rows(np, counts, row_pair, pairs: int):

@@ -63,6 +63,20 @@ def bits(values):
     return [value.hex() for value in values]
 
 
+def hub_tree(*hubs):
+    """Root -> one hub per argument; a hub's ``copies[i]`` children have ``i`` children each."""
+    parents = [-1]
+    for copies in hubs:
+        hub = len(parents)
+        parents.append(0)
+        for children, count in enumerate(copies):
+            for _ in range(count):
+                node = len(parents)
+                parents.append(hub)
+                parents.extend([node] * children)
+    return Tree(parents)
+
+
 #: A cell budget that keeps trees of up to ~5 nodes on the array path and
 #: sends any level of 9+ nodes to the per-pair fallback.
 SMALL_BUDGET = 64
@@ -199,15 +213,6 @@ class TestBatchKernelBitIdentity:
         # Level 1 holds one node whose children carry 42 distinct labels,
         # two of each: the packed sort key of that level's count rows would
         # overflow 64 bits without re-ranking between columns.
-        def hub_tree(copies):
-            parents = [-1, 0]
-            for children, count in enumerate(copies):
-                for _ in range(count):
-                    node = len(parents)
-                    parents.append(1)
-                    parents.extend([node] * children)
-            return Tree(parents)
-
         wide = hub_tree([2] * 42)
         other = hub_tree([2] * 41 + [1])
         pairs = [(wide, other), (other, wide), (wide, Tree([-1, 0, 1, 1]))]
@@ -234,6 +239,73 @@ class TestBatchKernelBitIdentity:
         full = BatchTedKernel()
         full.ted_star_block([(left, right)], k=4)
         assert full.batched_pairs == 1 and full.fallback_pairs == 0
+
+
+class TestSolverFreeTopLevels:
+    """No root level; depth 1 is a closed-form degree matching when it can be."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.tuples(bounded_trees(), bounded_trees()), max_size=40),
+           st.randoms(use_true_random=False))
+    def test_k3_block_never_calls_the_solver(self, drawn, rnd):
+        # Random pairs plus wide, tie-heavy, identical, short and ragged ones.
+        wide = hub_tree([3, 4, 2])
+        ties = hub_tree([0, 6, 6])
+        star = Tree([-1] + [0] * 7)
+        pairs = drawn + [
+            (wide, ties), (ties, wide), (Tree([-1, 0, 1, 2, 3]), star), (star, ties),
+            (wide, Tree(wide.parent_array())), (Tree([-1]), wide),
+            (random_tree_with_depth(30, 3, seed=3), random_tree_with_depth(25, 4, seed=4)),
+        ]
+        rnd.shuffle(pairs)
+        reference = scipy_reference(pairs, 3)
+        kernel = BatchTedKernel()
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("the assignment solver was called")
+
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(batch_module, "_lsa", refuse)
+            values = kernel.ted_star_block(pairs, k=3)
+        assert bits(values) == bits(reference)
+        assert kernel.solver_calls == 0
+
+    def test_k4_block_reaches_the_solver(self, monkeypatch):
+        calls = []
+        solver = batch_module._lsa
+
+        def counting(matrix):
+            calls.append(matrix.shape)
+            return solver(matrix)
+
+        monkeypatch.setattr(batch_module, "_lsa", counting)
+        pairs = [(hub_tree([2, 1, 3], [0, 2]), hub_tree([1, 3, 2], [1, 1])),
+                 (hub_tree([0, 2, 2, 1]), hub_tree([1, 1, 1, 2], [2]))]
+        kernel = BatchTedKernel()
+        assert bits(kernel.ted_star_block(pairs, k=4)) == bits(scipy_reference(pairs, 4))
+        assert calls and kernel.solver_calls == len(calls)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(bounded_trees(max_nodes=10, max_depth=2), min_size=1, max_size=8),
+           st.lists(st.lists(st.lists(st.integers(min_value=0, max_value=3),
+                                      min_size=1, max_size=4),
+                             min_size=1, max_size=3),
+                    min_size=1, max_size=8),
+           st.randoms(use_true_random=False))
+    def test_mixed_depth1_alphabets_bitwise_and_equivariant(self, shallow, hubs, rnd):
+        # At k = 4, pairs of height <= 2 have one depth-2 label (closed form);
+        # hub pairs have several (canonization + solver) — in one block.
+        hubs = [hub_tree(*copies) for copies in hubs]
+        pairs = [(tree, shallow[-1 - i % len(shallow)]) for i, tree in enumerate(shallow)]
+        pairs += [(tree, hubs[-1 - i % len(hubs)]) for i, tree in enumerate(hubs)]
+        rnd.shuffle(pairs)
+        kernel = BatchTedKernel()
+        values = kernel.ted_star_block(pairs, k=4)
+        assert bits(values) == bits(scipy_reference(pairs, 4))
+        order = list(range(len(pairs)))
+        rnd.shuffle(order)
+        permuted = kernel.ted_star_block([pairs[i] for i in order], k=4)
+        assert bits(permuted) == bits([values[i] for i in order])
 
 
 class TestBatchKernelCompilation:
@@ -449,7 +521,7 @@ class TestSessionBatchPolicy:
             snapshot = session.metrics_snapshot()
             assert set(snapshot["batch_kernel"]) == {
                 "blocks", "batched_pairs", "fallback_pairs", "compiled_trees",
-                "compiled_evictions",
+                "compiled_evictions", "compiled_hits", "solver_calls",
             }
 
     def test_batch_false_opts_out(self, store):

@@ -3,14 +3,19 @@
 These verify, on randomly generated unordered trees, the four metric
 properties the paper proves in Section 7 plus the structural invariants the
 algorithm relies on (integrality, invariance to node relabeling, and the
-relation to tree size).
+relation to tree size), and the two facts the batch kernel's solver-free
+top levels rest on: the root level's matching cost is always 0, and for
+k <= 3 the degree-multiset lower bound is exact.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.trees.canonize import trees_isomorphic
 from repro.trees.tree import Tree
-from repro.ted.ted_star import ted_star
+from repro.ted.batch import BatchTedKernel, batch_available
+from repro.ted.bounds import ted_star_degree_lower_bound
+from repro.ted.ted_star import ted_star, ted_star_detailed
 from repro.utils.rng import ensure_rng
 
 
@@ -28,6 +33,27 @@ def bounded_trees(draw, max_nodes=10, max_depth=4):
         parents.append(parent)
         depths.append(depths[parent] + 1)
     return Tree(parents)
+
+
+@st.composite
+def tie_heavy_trees(draw, max_width=12):
+    """Wide trees of depth <= 3 whose nodes repeat a few degrees.
+
+    Every level holds many nodes with equal collections, so most levels
+    admit several optimal matchings.
+    """
+    parents = [-1]
+    for fanout in draw(st.lists(st.integers(min_value=0, max_value=3), max_size=max_width)):
+        node = len(parents)
+        parents.append(0)
+        for _ in range(fanout):
+            child = len(parents)
+            parents.append(node)
+            parents.extend([child] * draw(st.integers(min_value=0, max_value=2)))
+    return Tree(parents)
+
+
+any_trees = st.one_of(bounded_trees(max_nodes=14), tie_heavy_trees())
 
 
 def relabel_tree(tree: Tree, seed: int) -> Tree:
@@ -130,3 +156,38 @@ def test_monotone_in_k(first, second):
         current = ted_star(first, second, k=k)
         assert current >= previous - 1e-9
         previous = current
+
+
+@settings(max_examples=80, deadline=None)
+@given(any_trees, any_trees, st.integers(min_value=1, max_value=6),
+       st.sampled_from(["scipy", "hungarian"]))
+def test_root_level_matching_cost_is_zero(first, second, k, backend):
+    # Depth 1's re-canonization makes the padded side's root collection a
+    # sub-multiset of the other's: the roots differ by exactly the padding
+    # below, so their matching cost is 0 (the batch kernel skips the level).
+    if backend == "scipy":
+        pytest.importorskip("scipy")
+    detailed = ted_star_detailed(first, second, k=k, backend=backend)
+    costs = {cost.level: cost for cost in detailed.level_costs}
+    assert costs[1].matching_cost == 0.0
+    assert costs[1].bipartite_cost == (costs[2].padding_cost if k >= 2 else 0)
+
+
+@pytest.mark.skipif(not batch_available(), reason="the batch TED* kernel needs numpy and SciPy")
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(any_trees, any_trees), min_size=1, max_size=6),
+       st.integers(min_value=1, max_value=3))
+def test_degree_bound_is_exact_up_to_k3(pairs, k):
+    # With at most three levels, depth 2 is the bottom of the view: its nodes
+    # share one label, depth 1's costs are degree differences and sorted
+    # degrees match optimally.  So the degree bound is the distance, and no
+    # backend's choice among tied matchings can change it.
+    pairs = [(first.truncate(k - 1), second.truncate(k - 1)) for first, second in pairs]
+    kernel = BatchTedKernel()
+    batch = kernel.ted_star_block(pairs, k=k)
+    for (first, second), batch_value in zip(pairs, batch):
+        lower = float(ted_star_degree_lower_bound(first, second, k))
+        scipy_value = ted_star(first, second, k=k, backend="scipy")
+        hungarian = ted_star(first, second, k=k, backend="hungarian")
+        assert lower.hex() == scipy_value.hex() == hungarian.hex() == batch_value.hex()
+    assert kernel.solver_calls == 0
