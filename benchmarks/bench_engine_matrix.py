@@ -982,7 +982,10 @@ def main(argv=None) -> int:
                         help="tiny workload for CI (seconds, not minutes)")
     parser.add_argument("--nodes", type=int, default=None,
                         help="graph size (default: 40 with --smoke, 120 otherwise)")
-    parser.add_argument("--k", type=int, default=3, help="tree levels (default 3)")
+    parser.add_argument("--k", type=int, default=4,
+                        help="tree levels (default 4: at k <= 3 the degree tier "
+                        "pins every pair, so no cache, kernel or pool work "
+                        "would be measured)")
     parser.add_argument("--serving", action="store_true",
                         help="run only the batched/async serving workload (the "
                         "CI serving job) and record the 'serving' section of "

@@ -24,7 +24,13 @@ with three orthogonal knobs:
   bound above the threshold marks the pair ``inf`` without ever computing
   it — the data-skipping move: answer from the summary, touch the expensive
   evaluation only when forced.  ``tiers`` restricts the cascade for
-  ablations (e.g. level-size only).
+  ablations (e.g. level-size only).  With the batch kernel active, the
+  cascade runs as one :meth:`~repro.ted.resolver.BoundedNedDistance.survey`
+  per row (or column) instead of per cell, and ``"exact"`` builds take the
+  survey too where it pins every pair (k ≤ 3 with the degree tier on, see
+  :attr:`~repro.ted.resolver.BoundedNedDistance.closed_form`): those builds
+  never reach the cache, the kernel or the executor.  ``batch=False``
+  sessions keep the per-cell loop and per-pair TED*, the reference path.
 * ``cache_size`` — capacity of the signature-keyed distance cache (the
   session default, :data:`repro.ted.resolver.DEFAULT_CACHE_SIZE`, unless
   overridden; 0 disables every signature-based shortcut, including
@@ -399,7 +405,6 @@ def build_matrix_with_resolver(
     k = row_store.k
     stats = EngineStats()
     counter_snapshot = resolver.counters.copy()
-    values: List[List[float]] = [[0.0] * len(cols) for _ in rows]
 
     # Resolve every pair from the summaries / the distance cache when
     # possible; queue the rest.  Duplicate signature pairs within the build
@@ -410,38 +415,56 @@ def build_matrix_with_resolver(
     owners: Dict[Tuple[str, str], int] = {}
     followers: Dict[int, List[Tuple[int, int]]] = {}
     with tracer.span("matrix.survey", rows=len(rows), cols=len(cols)):
-        for i, row in enumerate(rows):
-            start = i + 1 if symmetric else 0
-            for j in range(start, len(cols)):
-                col = cols[j]
-                stats.pairs_considered += 1
-                if mode == "bound-prune":
-                    interval = resolver.bounds(row, col)
-                    if threshold is not None and interval.excludes(threshold):
-                        resolver.record_pruned(interval)
-                        values[i][j] = math.inf
-                        continue
-                    if interval.exact:
-                        resolver.record_decided(interval)
-                        values[i][j] = interval.lower
-                        continue
-                key = resolver.cache_key(row, col)
-                if key is not None:
-                    owner = owners.get(key)
-                    if owner is not None:
-                        # Deferred hit: the first occurrence owns the
-                        # computation and this cell is filled from it when
-                        # the chunks return.
-                        resolver.counters.cache_hits += 1
-                        followers.setdefault(owner, []).append((i, j))
-                        continue
-                    cached = resolver.cache_get(key)
-                    if cached is not None:
-                        values[i][j] = cached
-                        continue
-                    owners[key] = len(pending)
-                pending.append((i, j))
-                pending_keys.append(key)
+        cells: Iterable[Tuple[int, int]]
+        surveyed = resolver.batch_active and (
+            mode == "bound-prune" or resolver.closed_form
+        )
+        if surveyed:
+            # The bound tiers for a whole row (or column) per array pass;
+            # only the pairs the survey leaves open reach the per-cell loop.
+            values, cells = _survey_cells(
+                resolver, row_store, col_store, rows, cols, symmetric,
+                threshold if mode == "bound-prune" else None,
+            )
+        else:
+            values = [[0.0] * len(cols) for _ in rows]
+            cells = (
+                (i, j)
+                for i in range(len(rows))
+                for j in range(i + 1 if symmetric else 0, len(cols))
+            )
+        for i, j in cells:
+            row, col = rows[i], cols[j]
+            if mode == "bound-prune" and not surveyed:
+                interval = resolver.bounds(row, col)
+                if threshold is not None and interval.excludes(threshold):
+                    resolver.record_pruned(interval)
+                    values[i][j] = math.inf
+                    continue
+                if interval.exact:
+                    resolver.record_decided(interval)
+                    values[i][j] = interval.lower
+                    continue
+            key = resolver.cache_key(row, col)
+            if key is not None:
+                owner = owners.get(key)
+                if owner is not None:
+                    # Deferred hit: the first occurrence owns the
+                    # computation and this cell is filled from it when
+                    # the chunks return.
+                    resolver.counters.cache_hits += 1
+                    followers.setdefault(owner, []).append((i, j))
+                    continue
+                cached = resolver.cache_get(key)
+                if cached is not None:
+                    values[i][j] = cached
+                    continue
+                owners[key] = len(pending)
+            pending.append((i, j))
+            pending_keys.append(key)
+    stats.pairs_considered = (
+        len(rows) * (len(rows) - 1) // 2 if symmetric else len(rows) * len(cols)
+    )
 
     # Evaluate the queued pairs in chunks through the executor.
     index_chunks: List[IndexChunk] = [
@@ -554,6 +577,55 @@ def build_matrix_with_resolver(
         executor_used=executor_used,
         stats=stats,
     )
+
+
+def _survey_cells(
+    resolver: BoundedNedDistance,
+    row_store: StoreLike,
+    col_store: StoreLike,
+    rows: Sequence,
+    cols: Sequence,
+    symmetric: bool,
+    threshold: Optional[float],
+) -> Tuple[List[List[float]], List[Tuple[int, int]]]:
+    """Fill a matrix from bound surveys; return it and the open cells.
+
+    One :meth:`BoundedNedDistance.survey` per row against the columns (the
+    upper triangle for a symmetric build), or per column against the rows
+    when there are fewer columns, so each survey covers the longer side.
+    Bounds are symmetric, so the orientation changes neither intervals nor
+    counters.  Cells beyond ``threshold`` become ``inf`` and closed cells
+    take their value, credited exactly as the per-cell cascade credits
+    them; the open cells come back in row-major order, the order of the
+    per-cell loop, for the cache and exact tiers.
+    """
+    import numpy as np
+
+    grid = np.zeros((len(rows), len(cols)))
+    opened: List[Tuple[int, int]] = []
+    transposed = not symmetric and len(cols) < len(rows)
+    probes, store = (cols, row_store) if transposed else (rows, col_store)
+    for index, probe in enumerate(probes):
+        start = index + 1 if symmetric else 0
+        survey = resolver.survey(probe, store, start=start)
+        if threshold is None:
+            pruned = np.zeros(len(survey), dtype=bool)
+        else:
+            pruned = survey.lower > threshold
+        closed = survey.closed & ~pruned
+        resolver.record_pruned_many(survey, pruned)
+        resolver.record_decided_many(survey, closed)
+        line = np.where(pruned, math.inf, survey.lower)
+        others = (np.flatnonzero(~(pruned | closed)) + start).tolist()
+        if transposed:
+            grid[:, index] = line
+            opened.extend((other, index) for other in others)
+        else:
+            grid[index, start:] = line
+            opened.extend((index, other) for other in others)
+    if transposed:
+        opened.sort()
+    return grid.tolist(), opened
 
 
 def _make_batch_dispatch(

@@ -399,13 +399,20 @@ class NedSearchEngine:
 
             # Exact mode resolves every candidate anyway (no pruning, store
             # order), so with a batch kernel attached the whole scan goes
-            # through the resolver as one block — same cascade, same cache
-            # accounting, same values, one array-native exact call.
+            # through the resolver at once: under closed_form (k <= 3) one
+            # bound survey pins every pair, with no cache or exact tier;
+            # otherwise the scan is one block through the cache and one
+            # array-native exact call.
             precomputed: Optional[List[float]] = None
-            if not prune and self._resolver.batch_active and len(entries) > 1:
+            resolver = self._resolver
+            if not prune and resolver.batch_active and resolver.closed_form:
+                survey = resolver.survey(probe, self.store)
+                resolver.record_decided_many(survey, survey.closed)
+                precomputed = survey.lower.tolist()
+            elif not prune and resolver.batch_active and len(entries) > 1:
                 precomputed = [
                     value
-                    for value, _ in self._resolver.resolve_many(
+                    for value, _ in resolver.resolve_many(
                         [(probe, entry) for entry in entries], bounds=False
                     )
                 ]

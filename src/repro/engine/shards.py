@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from pathlib import Path
-from typing import Dict, Hashable, Iterable, Iterator, List, Tuple, Union
+from typing import Dict, Hashable, Iterable, Iterator, List, NamedTuple, Tuple, Union
 
 from repro.exceptions import GraphError, TreeError
 from repro.engine.tree_store import (
@@ -49,6 +49,7 @@ from repro.engine.tree_store import (
     _decode_entry,
     _encode_entry,
 )
+from repro.ted.survey import PackedSummaries
 from repro.trees.tree import Tree
 from repro.utils.io import atomic_pickle_dump, load_validated_payload
 from repro.utils.timer import clock
@@ -65,6 +66,14 @@ MANIFEST_NAME = "manifest.bin"
 
 #: Resident-shard budget used unless the caller picks one.
 DEFAULT_MAX_RESIDENT = 4
+
+
+class _SummaryRecord(NamedTuple):
+    """An entry's bound summaries without its tree (for packing)."""
+
+    level_sizes: Tuple[int, ...]
+    degree_profiles: Tuple[Tuple[int, ...], ...]
+    signature: str
 
 
 def _shard_file_name(index: int) -> str:
@@ -219,6 +228,10 @@ class ShardedTreeStore:
         # its ``shards.stream_decodes`` count) happens at most once.
         self._packed: Optional[List[List[int]]] = None
         self._packed_signatures: Optional[List[str]] = None
+        # The same pass keeps each entry's bound summaries (not its tree)
+        # until packed_summaries() turns them into arrays.
+        self._summary_records: Optional[List[_SummaryRecord]] = None
+        self._packed_summaries: Optional[PackedSummaries] = None
 
     def attach_metrics(self, registry) -> None:
         """Route this store's shard traffic into a metrics registry.
@@ -401,11 +414,25 @@ class ShardedTreeStore:
         self._ensure_packed()
         return list(self._packed_signatures)
 
+    def packed_summaries(self) -> PackedSummaries:
+        """Return the bound summaries of every entry as arrays, in build order.
+
+        Same contract as :meth:`TreeStore.packed_summaries`; the records come
+        from the one streaming pass behind :meth:`packed_parent_arrays`, so
+        surveying the store never touches the resident LRU either.
+        """
+        if self._packed_summaries is None:
+            self._ensure_packed()
+            self._packed_summaries = PackedSummaries.pack(self.k, self._summary_records)
+            self._summary_records = None
+        return self._packed_summaries
+
     def _ensure_packed(self) -> None:
         if self._packed is not None:
             return
         packed: List[List[int]] = []
         signatures: List[str] = []
+        records: List[_SummaryRecord] = []
         for index in range(self.shard_count):
             resident = self._resident.get(index)
             if resident is None:
@@ -417,8 +444,12 @@ class ShardedTreeStore:
             for entry in entries:
                 packed.append(entry.tree.parent_array())
                 signatures.append(entry.signature)
+                records.append(
+                    _SummaryRecord(entry.level_sizes, entry.degree_profiles, entry.signature)
+                )
         self._packed = packed
         self._packed_signatures = signatures
+        self._summary_records = records
 
     def subset(self, nodes: Iterable[Node]) -> TreeStore:
         """Return a dense, independent :class:`TreeStore` over ``nodes``.

@@ -13,7 +13,9 @@ interest, and keeps three things per node:
   NED distance exactly 0, Section 7).
 
 Together these are exactly the summaries the tier cascade of
-:class:`repro.ted.resolver.BoundedNedDistance` resolves distances from.
+:class:`repro.ted.resolver.BoundedNedDistance` resolves distances from;
+``packed_summaries()`` packs them once as arrays, for the store-wide bound
+survey (:mod:`repro.ted.survey`).
 
 Stores are the unit every other engine component is built from: distance
 matrices (:mod:`repro.engine.matrix`) take one or two stores, and the search
@@ -32,6 +34,7 @@ from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Sequence,
 from repro.exceptions import GraphError, TreeError
 from repro.graph.graph import Graph
 from repro.ted.bounds import degree_profile_sequence, level_size_sequence
+from repro.ted.survey import PackedSummaries
 from repro.trees.adjacent import k_adjacent_tree
 from repro.trees.canonize import canonical_string
 from repro.trees.tree import Tree
@@ -187,10 +190,12 @@ class TreeStore:
             if entry.node in self._entries:
                 raise GraphError(f"duplicate node {entry.node!r} in TreeStore")
             self._entries[entry.node] = entry
-        # Memoized packed parent arrays / signatures; sound because entries
-        # are immutable after construction (there is no add/remove API).
+        # Memoized packed parent arrays / signatures / bound summaries; sound
+        # because entries are immutable after construction (there is no
+        # add/remove API).
         self._packed: Optional[List[List[int]]] = None
         self._packed_signatures: Optional[List[str]] = None
+        self._packed_summaries: Optional[PackedSummaries] = None
 
     # ---------------------------------------------------------------- factory
     @classmethod
@@ -293,6 +298,19 @@ class TreeStore:
                 entry.signature for entry in self._entries.values()
             ]
         return list(self._packed_signatures)
+
+    def packed_summaries(self) -> PackedSummaries:
+        """Return the bound summaries of every entry as arrays, in build order.
+
+        What :meth:`repro.ted.resolver.BoundedNedDistance.survey` reads to
+        bound one probe against the whole store in a few array operations
+        (level sizes, sorted degrees, signature ids; see
+        :mod:`repro.ted.survey`).  Memoized like :meth:`packed_parent_arrays`;
+        needs numpy.
+        """
+        if self._packed_summaries is None:
+            self._packed_summaries = PackedSummaries.pack(self.k, self._entries.values())
+        return self._packed_summaries
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -47,6 +47,7 @@ METRIC_NAMES = frozenset(
         "resolver.exact_batch_seconds",
         "resolver.exact_seconds",
         "resolver.level_size_seconds",
+        "resolver.survey_seconds",
         # search / serving / session
         "search.query_seconds",
         "serving.batch_size",

@@ -39,6 +39,37 @@ supplies the per-tier mathematics.  In cascade order:
    which dominates the level-size lower bound (every added term is ≥ 0) and
    never exceeds TED* (it lower-bounds each ``M_i`` of Algorithm 1).
 
+   **At k ≤ 3 the lower bound is TED* itself**, so this tier closes the
+   interval (:data:`DEGREE_BOUND_EXACT_MAX_K`).  With ``TED* = Σ_i P_i +
+   Σ_i M_i`` it suffices to show ``M_i = max(0, (D_i − P_{i+1}) / 2)`` on
+   every level, in three steps:
+
+   a. *The root's matching cost is 0.*  Level 1 holds one node per side, so
+      ``D_1 = |a_2 − b_2| = P_2`` and the bound's term is 0.  Algorithm 1's
+      ``M_1`` is 0 too: after depth 1's re-canonization the padded side's
+      root collection is a sub-multiset of the other side's, so their
+      symmetric difference is exactly ``P_2`` (pinned for every k by the
+      property suite).  The bottom level ``k`` has only empty collections
+      and ``P_{k+1} = 0``, so both its terms are 0 as well.
+   b. *Depth-1 weights are |deg u − deg v| when depth 2 has one label.*  At
+      k = 3 depth 2 is the bottom of the view: every node there, padding
+      included, has an empty collection and hence the same canonical label
+      (re-canonization only copies that label).  A depth-1 collection is
+      then ``deg(u)`` copies of one label, padding nodes have degree 0, and
+      ``|S_u Δ S_v| = |deg u − deg v|``.  (At k ≤ 2 every level is the
+      root or the bottom, which step a covers.)
+   c. *Sorted-order matching is optimal for those weights.*  For costs
+      ``|x − y|`` on the line, uncrossing any two crossed pairs never
+      raises the cost, so pairing both zero-padded degree multisets in
+      sorted order is a minimum matching: ``m(G²_2) = D_2``.  Since
+      ``D_2 ≥ |Σ deg − Σ deg| = |a_3 − b_3| = P_3``, the ``max`` is
+      inactive and ``M_2 = (D_2 − P_3) / 2``, the bound's term.
+
+   Every optimal matching has the same cost, so the value does not depend
+   on the matching backend's tie-breaking: the degree bound equals scipy,
+   hungarian and the batch kernel bit for bit at k ≤ 3.  From k = 4 on,
+   depth 2 has several labels and the bound is only a bound.
+
 4. **Exact TED*** (O(k·n³)) — :func:`repro.ted.ted_star.ted_star`, paid
    only when the interval left by tiers 1-3 still straddles the decision at
    hand (a kNN threshold, a range radius, a matrix threshold).
@@ -158,6 +189,11 @@ def degree_profile_sequence(
     return tuple(profiles)
 
 
+#: Largest number of levels for which the degree-multiset lower bound *is*
+#: TED* (see the module docstring), so the degree tier closes the interval.
+DEGREE_BOUND_EXACT_MAX_K = 3
+
+
 def _sorted_transport_cost(first: Sequence[int], second: Sequence[int]) -> int:
     """Minimum ``Σ |x − y|`` over pairings of two zero-padded degree multisets.
 
@@ -184,7 +220,9 @@ def ted_star_degree_multiset_bounds(
     between the zero-padded degree multisets of level ``i`` (see the module
     docstring for the derivation).  The lower bound dominates
     :func:`ted_star_level_size_bounds`' and never exceeds exact TED*; the
-    upper bound is the level-size one (degrees do not improve it).
+    upper bound is the level-size one, except that with at most
+    :data:`DEGREE_BOUND_EXACT_MAX_K` levels the lower bound is exact and
+    the upper bound equals it.
 
     ``D_i − P_{i+1}`` is always even — both sides are congruent to
     ``a_{i+1} + b_{i+1}`` mod 2 — so the bound stays integral.
@@ -205,6 +243,8 @@ def ted_star_degree_multiset_bounds(
         padding_below = abs(next_a - next_b)
         transport = _sorted_transport_cost(profile_a, profile_b)
         move_lower += max(0, (transport - padding_below) // 2)
+    if width <= DEGREE_BOUND_EXACT_MAX_K:
+        return size_lower + move_lower, size_lower + move_lower
     return size_lower + move_lower, size_lower + slack
 
 

@@ -13,7 +13,10 @@ a ``(lower, upper)`` interval on TED*:
 1. ``"signature"`` — equal AHU canonical signatures ⇒ distance exactly 0.
 2. ``"level-size"`` — O(k) bounds from per-level sizes.
 3. ``"degree-multiset"`` — earth-mover-style per-level bounds from the child
-   count multisets; the lower bound dominates the level-size one.
+   count multisets; the lower bound dominates the level-size one.  At
+   ``k <= 3`` it *is* TED* (proof in :mod:`repro.ted.bounds`), so this tier
+   closes the interval and decides every pair that reaches it: the cache
+   and exact tiers below are only reached from ``k = 4`` on.
 4. ``"cache"`` — an LRU memory of previously computed exact distances,
    keyed by the ordered pair of canonical signatures.  TED* is a pure
    function of the two isomorphism classes (the kernel canonicalizes its
@@ -27,9 +30,14 @@ a ``(lower, upper)`` interval on TED*:
 Inputs are summary records (duck-typed: ``.tree``, ``.signature``,
 ``.level_sizes``, ``.degree_profiles`` — e.g.
 :class:`repro.engine.tree_store.StoredTree`), so resolution never touches a
-graph.  Every tier evaluation and every outcome (hit / decided / pruned /
-cached / exact) is recorded in per-tier counters, which is how the
-benchmarks prove *where* exact evaluations were skipped.
+graph.  :meth:`BoundedNedDistance.survey` runs tiers 1–3 for one probe
+against a whole store in a few array operations (:mod:`repro.ted.survey`),
+with the same intervals and counters as a loop of
+:meth:`~BoundedNedDistance.bounds`; the matrix builder and exact-mode scans
+use it whenever the batch kernel is active.  Every tier evaluation and
+every outcome (hit / decided / pruned / cached / exact) is recorded in
+per-tier counters, which is how the benchmarks prove *where* exact
+evaluations were skipped.
 
 In the engine, resolvers are owned by :class:`repro.engine.session.NedSession`
 — one warm resolver behind every query surface; construct one directly only
@@ -52,6 +60,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.exceptions import DeadlineError, DistanceError, OverloadError
 from repro.ted.bounds import (
+    DEGREE_BOUND_EXACT_MAX_K,
     ted_star_degree_multiset_bounds,
     ted_star_level_size_bounds,
 )
@@ -74,6 +83,8 @@ BATCH_BACKEND = "batch"
 
 #: Cheap tiers, in cascade order (exact is always the implicit last resort).
 BOUND_TIERS = (SIGNATURE_TIER, LEVEL_SIZE_TIER, DEGREE_TIER)
+#: Tier names of the codes in a :class:`repro.ted.survey.BoundSurvey`.
+SURVEY_TIERS = (NO_TIER,) + BOUND_TIERS
 #: The full resolution cascade.  The cache tier sits between the bound tiers
 #: and exact but is controlled by ``cache_size`` (not the ``tiers``
 #: selection), so it is not part of this tuple.
@@ -637,10 +648,60 @@ class BoundedNedDistance:
                 first.degree_profiles,
                 second.degree_profiles,
             )
-            if float(degree_lower) > lower:
+            # Credited when it beats the level-size lower bound or pins the
+            # distance (every pair it evaluates at k <= 3).
+            if float(degree_lower) > lower or degree_lower == degree_upper:
                 lower, tier = float(degree_lower), DEGREE_TIER
             upper = min(upper, float(degree_upper))
         return ResolutionInterval(lower, upper, tier)
+
+    def survey(self, probe, store, start: int = 0):
+        """Run the cheap tiers of ``probe`` against every entry of ``store``.
+
+        The array-native form of calling :meth:`bounds` for each entry from
+        position ``start`` on, in build order: it returns a
+        :class:`repro.ted.survey.BoundSurvey` with the same intervals and
+        tiers (codes into :data:`SURVEY_TIERS`) and adds the same counter
+        increments.  ``store`` is any store with ``packed_summaries()``
+        (its memoized arrays are reused across probes); numpy is required.
+        Outcomes are credited separately, as with :meth:`bounds`
+        (:meth:`record_decided_many` / :meth:`record_pruned_many`).  At
+        ``k <= 3`` with the degree tier on, every interval is closed.
+        """
+        from repro.ted.survey import survey_intervals
+
+        if store.k != self.k:
+            raise DistanceError(
+                f"cannot survey a store with k={store.k}; this resolver compares "
+                f"k={self.k} levels"
+            )
+        packed = store.packed_summaries()
+        result = self._timed(
+            "resolver.survey_seconds",
+            survey_intervals,
+            packed,
+            probe,
+            signature=SIGNATURE_TIER in self.tiers,
+            level_size=LEVEL_SIZE_TIER in self.tiers,
+            degree=DEGREE_TIER in self.tiers,
+            start=start,
+        )
+        counters = self.counters
+        counters.signature_hits += result.signature_hits
+        counters.level_size_evaluations += result.level_size_evaluations
+        counters.degree_evaluations += result.degree_evaluations
+        return result
+
+    @property
+    def closed_form(self) -> bool:
+        """True when :meth:`bounds`/:meth:`survey` pin every pair they see.
+
+        That is the case at ``k <= 3`` with the degree tier enabled, where
+        the degree-multiset lower bound is TED* (proof in
+        :mod:`repro.ted.bounds`); block consumers then answer from the
+        survey and skip the cache and the exact tier altogether.
+        """
+        return DEGREE_TIER in self.tiers and self.k <= DEGREE_BOUND_EXACT_MAX_K
 
     # ------------------------------------------------------------- cache tier
     def cache_key(self, first, second) -> Optional[Tuple[str, str]]:
@@ -862,6 +923,18 @@ class BoundedNedDistance:
             self.counters.pruned_by_level_size += 1
         elif interval.tier == DEGREE_TIER:
             self.counters.pruned_by_degree += 1
+
+    def record_pruned_many(self, survey, mask) -> None:
+        """:meth:`record_pruned` for every masked candidate of a survey."""
+        level_size, degree = survey.credits(mask)
+        self.counters.pruned_by_level_size += level_size
+        self.counters.pruned_by_degree += degree
+
+    def record_decided_many(self, survey, mask) -> None:
+        """:meth:`record_decided` for every masked candidate of a survey."""
+        level_size, degree = survey.credits(mask)
+        self.counters.decided_by_level_size += level_size
+        self.counters.decided_by_degree += degree
 
     def record_decided(self, interval: ResolutionInterval) -> None:
         """Credit ``interval``'s tier with pinning a pair's distance.

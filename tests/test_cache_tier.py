@@ -25,12 +25,14 @@ from repro.ted.ted_star import ted_star
 
 @pytest.fixture(scope="module")
 def store():
-    return TreeStore.from_graph(barabasi_albert_graph(40, 2, seed=11), k=3)
+    # k = 4: at k <= 3 the degree tier pins every pair, so neither the
+    # cache nor the exact tier would ever be reached.
+    return TreeStore.from_graph(barabasi_albert_graph(40, 2, seed=11), k=4)
 
 
 class TestResolverCache:
     def test_hit_closes_interval_exactly(self, store):
-        resolver = BoundedNedDistance(k=3, cache_size=16)
+        resolver = BoundedNedDistance(k=4, cache_size=16)
         nodes = store.nodes()
         first, second = store.entry(nodes[0]), store.entry(nodes[7])
         value, interval = resolver.resolve(first, second)
@@ -38,12 +40,12 @@ class TestResolverCache:
         again, interval = resolver.resolve(first, second)
         assert interval.tier == CACHE_TIER
         assert interval.exact
-        assert again == value == ted_star(first.tree, second.tree, k=3)
+        assert again == value == ted_star(first.tree, second.tree, k=4)
         assert resolver.counters.cache_hits == 1
         assert resolver.counters.exact_evaluations == 1
 
     def test_key_is_symmetric(self, store):
-        resolver = BoundedNedDistance(k=3, cache_size=16)
+        resolver = BoundedNedDistance(k=4, cache_size=16)
         nodes = store.nodes()
         first, second = store.entry(nodes[0]), store.entry(nodes[7])
         assert resolver.cache_key(first, second) == resolver.cache_key(second, first)
@@ -53,7 +55,7 @@ class TestResolverCache:
         assert resolver.counters.cache_hits == 1
 
     def test_disabled_cache_never_counts(self, store):
-        resolver = BoundedNedDistance(k=3)  # cache_size defaults to 0
+        resolver = BoundedNedDistance(k=4)  # cache_size defaults to 0
         nodes = store.nodes()
         first, second = store.entry(nodes[0]), store.entry(nodes[7])
         assert resolver.cache_key(first, second) is None
@@ -63,7 +65,7 @@ class TestResolverCache:
         assert resolver.counters.cache_hits == resolver.counters.cache_misses == 0
 
     def test_eviction_at_small_capacity(self, store):
-        resolver = BoundedNedDistance(k=3, cache_size=2)
+        resolver = BoundedNedDistance(k=4, cache_size=2)
         entries = [store.entry(node) for node in store.nodes()]
         probe = entries[0]
         # Three candidates with pairwise distinct signatures vs the probe.
@@ -91,8 +93,8 @@ class TestResolverCache:
 
     def test_cache_clear_and_negative_size(self, store):
         with pytest.raises(DistanceError):
-            BoundedNedDistance(k=3, cache_size=-1)
-        resolver = BoundedNedDistance(k=3, cache_size=8)
+            BoundedNedDistance(k=4, cache_size=-1)
+        resolver = BoundedNedDistance(k=4, cache_size=8)
         nodes = store.nodes()
         resolver.exact(store.entry(nodes[0]), store.entry(nodes[5]))
         assert resolver.cache_len() == 1
@@ -125,8 +127,8 @@ class TestMatrixCacheIdentity:
             assert cached.values == uncached.values
 
     def test_cross_matrix_cache_identity(self):
-        store_a = TreeStore.from_graph(barabasi_albert_graph(20, 2, seed=3), k=3)
-        store_b = TreeStore.from_graph(barabasi_albert_graph(25, 2, seed=4), k=3)
+        store_a = TreeStore.from_graph(barabasi_albert_graph(20, 2, seed=3), k=4)
+        store_b = TreeStore.from_graph(barabasi_albert_graph(25, 2, seed=4), k=4)
         cached = cross_distance_matrix(store_a, store_b, cache_size=DEFAULT_CACHE_SIZE)
         uncached = cross_distance_matrix(store_a, store_b, cache_size=0)
         assert cached.values == uncached.values
@@ -141,7 +143,7 @@ class TestMatrixCacheIdentity:
         assert 0.0 < stats.cache_hit_rate < 1.0
 
     def test_shared_resolver_reuses_cache_across_builds(self, store):
-        resolver = BoundedNedDistance(k=3, cache_size=DEFAULT_CACHE_SIZE)
+        resolver = BoundedNedDistance(k=4, cache_size=DEFAULT_CACHE_SIZE)
         first = pairwise_distance_matrix(store, resolver=resolver)
         second = pairwise_distance_matrix(store, resolver=resolver)
         assert second.values == first.values

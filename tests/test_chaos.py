@@ -61,7 +61,9 @@ def graph():
 def arena(tmp_path_factory, graph):
     """Pristine on-disk artifacts plus the fault-free reference results."""
     root = tmp_path_factory.mktemp("chaos")
-    dense = TreeStore.from_graph(graph, k=2)
+    # k = 4: at k <= 3 the degree tier pins every pair, so no pair would
+    # reach the cache, the kernel or the process pool the faults target.
+    dense = TreeStore.from_graph(graph, k=4)
     save_sharded(dense, root / "store", shards=4)
     store = ShardedTreeStore.load(root / "store", max_resident=2)
     with NedSession(store, cache_file=root / "cache.ned", resilience=False) as session:

@@ -39,6 +39,16 @@ def ba_store(ba_graph):
     return TreeStore.from_graph(ba_graph, k=3)
 
 
+@pytest.fixture(scope="module")
+def deep_store(ba_graph):
+    """The same graph at k = 4, where pairs still reach the exact tier.
+
+    At k <= 3 the degree tier pins every pair, so executor, chunking and
+    fallback checks on ``ba_store`` would never see a chunk.
+    """
+    return TreeStore.from_graph(ba_graph, k=4)
+
+
 class TestTreeStore:
     def test_covers_all_nodes_in_order(self, ba_graph, ba_store):
         assert ba_store.nodes() == ba_graph.nodes()
@@ -195,11 +205,11 @@ class TestDistanceMatrix:
             for j, v in enumerate(matrix.col_nodes):
                 assert matrix.values[i][j] == ned(graph, u, graph, v, k=k)
 
-    def test_bound_prune_and_process_match_serial(self, ba_store):
-        serial = pairwise_distance_matrix(ba_store, mode="exact", executor="serial")
-        pruned = pairwise_distance_matrix(ba_store, mode="bound-prune")
+    def test_bound_prune_and_process_match_serial(self, deep_store):
+        serial = pairwise_distance_matrix(deep_store, mode="exact", executor="serial")
+        pruned = pairwise_distance_matrix(deep_store, mode="bound-prune")
         process = pairwise_distance_matrix(
-            ba_store, mode="exact", executor="process", chunk_size=100
+            deep_store, mode="exact", executor="process", chunk_size=100
         )
         assert pruned.values == serial.values
         assert process.values == serial.values
@@ -225,8 +235,8 @@ class TestDistanceMatrix:
     def test_cross_matrix_bound_prune_matches_exact(self):
         graph_a = barabasi_albert_graph(25, 2, seed=5)
         graph_b = barabasi_albert_graph(25, 2, seed=6)
-        store_a = TreeStore.from_graph(graph_a, k=3)
-        store_b = TreeStore.from_graph(graph_b, k=3)
+        store_a = TreeStore.from_graph(graph_a, k=4)
+        store_b = TreeStore.from_graph(graph_b, k=4)
         exact = cross_distance_matrix(store_a, store_b)
         pruned = cross_distance_matrix(store_a, store_b, mode="bound-prune")
         assert pruned.values == exact.values
@@ -267,7 +277,7 @@ class TestDistanceMatrix:
         with pytest.raises(DistanceError):
             pairwise_distance_matrix(ba_store, mode="bound-prune", threshold=-1.0)
 
-    def test_custom_executor_callable(self, ba_store):
+    def test_custom_executor_callable(self, deep_store):
         calls = []
 
         def executor(chunks):
@@ -276,19 +286,19 @@ class TestDistanceMatrix:
 
             return [_compute_chunk(chunk) for chunk in chunks]
 
-        matrix = pairwise_distance_matrix(ba_store, executor=executor, chunk_size=200)
+        matrix = pairwise_distance_matrix(deep_store, executor=executor, chunk_size=200)
         assert calls and matrix.executor == "executor"
-        assert matrix.values == pairwise_distance_matrix(ba_store).values
+        assert matrix.values == pairwise_distance_matrix(deep_store).values
 
-    def test_broken_pool_falls_back_to_serial(self, ba_store):
+    def test_broken_pool_falls_back_to_serial(self, deep_store):
         from concurrent.futures.process import BrokenProcessPool
 
         def dying_pool(chunks):
             raise BrokenProcessPool("workers were killed")
 
-        matrix = pairwise_distance_matrix(ba_store, executor=dying_pool)
+        matrix = pairwise_distance_matrix(deep_store, executor=dying_pool)
         assert matrix.executor_used.startswith("serial (fallback:")
-        assert matrix.values == pairwise_distance_matrix(ba_store).values
+        assert matrix.values == pairwise_distance_matrix(deep_store).values
 
 
 class TestNedSearchEngine:
@@ -659,8 +669,8 @@ class TestZeroCopyProcessExecutor:
     def test_cross_matrix_process_matches_serial(self):
         graph_a = barabasi_albert_graph(20, 2, seed=21)
         graph_b = barabasi_albert_graph(22, 2, seed=22)
-        store_a = TreeStore.from_graph(graph_a, k=3)
-        store_b = TreeStore.from_graph(graph_b, k=3)
+        store_a = TreeStore.from_graph(graph_a, k=4)
+        store_b = TreeStore.from_graph(graph_b, k=4)
         serial = cross_distance_matrix(store_a, store_b, executor="serial")
         process = cross_distance_matrix(
             store_a, store_b, executor="process", chunk_size=37
@@ -690,7 +700,7 @@ class TestIncrementalFallback:
 
         return executor
 
-    def test_only_remaining_chunks_recomputed(self, ba_store, monkeypatch):
+    def test_only_remaining_chunks_recomputed(self, deep_store, monkeypatch):
         import repro.engine.matrix as matrix_module
 
         real_ted_star = matrix_module.ted_star
@@ -703,9 +713,9 @@ class TestIncrementalFallback:
         monkeypatch.setattr(matrix_module, "ted_star", counting_ted_star)
         chunk_size = 100
         yield_chunks = 2
-        total_pairs = len(ba_store) * (len(ba_store) - 1) // 2
+        total_pairs = len(deep_store) * (len(deep_store) - 1) // 2
         result = pairwise_distance_matrix(
-            ba_store,
+            deep_store,
             executor=self._flaky_executor(yield_chunks),
             chunk_size=chunk_size,
             cache_size=0,
@@ -713,10 +723,10 @@ class TestIncrementalFallback:
         assert result.executor_used.startswith("serial (fallback:")
         # Exactly the pairs of the unyielded chunks were recomputed serially.
         assert fallback_calls["count"] == total_pairs - yield_chunks * chunk_size
-        reference = pairwise_distance_matrix(ba_store, cache_size=0)
+        reference = pairwise_distance_matrix(deep_store, cache_size=0)
         assert result.values == reference.values
 
-    def test_immediate_break_recomputes_everything(self, ba_store, monkeypatch):
+    def test_immediate_break_recomputes_everything(self, deep_store, monkeypatch):
         import repro.engine.matrix as matrix_module
 
         real_ted_star = matrix_module.ted_star
@@ -727,9 +737,9 @@ class TestIncrementalFallback:
             return real_ted_star(*args, **kwargs)
 
         monkeypatch.setattr(matrix_module, "ted_star", counting_ted_star)
-        total_pairs = len(ba_store) * (len(ba_store) - 1) // 2
+        total_pairs = len(deep_store) * (len(deep_store) - 1) // 2
         result = pairwise_distance_matrix(
-            ba_store, executor=self._flaky_executor(0), cache_size=0
+            deep_store, executor=self._flaky_executor(0), cache_size=0
         )
         assert result.executor_used.startswith("serial (fallback:")
         assert fallback_calls["count"] == total_pairs

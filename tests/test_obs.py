@@ -47,7 +47,9 @@ def graph():
 
 @pytest.fixture(scope="module")
 def store(graph):
-    return TreeStore.from_graph(graph, k=3)
+    # k = 4: at k <= 3 the degree tier pins every pair, so the exact-tier
+    # histograms and the cache sidecar these tests observe would stay empty.
+    return TreeStore.from_graph(graph, k=4)
 
 
 def _knn_plans(session, graph, nodes, neighbors=4):

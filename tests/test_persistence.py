@@ -304,14 +304,17 @@ class TestCacheSidecar:
         # All exact-path lookups answered from the sidecar.
         assert warm.counters.cache_misses == 0
 
-    def test_engine_cache_hit_rate_after_warm(self, graph, dense, tmp_path):
+    def test_engine_cache_hit_rate_after_warm(self, graph, tmp_path):
+        # k = 4: at k <= 3 the degree tier pins every pair and the cache
+        # would never be consulted.
+        deep = TreeStore.from_graph(graph, k=4)
         path = tmp_path / "cache.ned"
-        cold = NedSearchEngine(dense, mode="bound-prune", cache_file=path)
+        cold = NedSearchEngine(deep, mode="bound-prune", cache_file=path)
         queries = [cold.probe(graph, node) for node in graph.nodes()[:8]]
         cold_answers = [cold.knn(probe, 4) for probe in queries]
         cold.save_cache()
 
-        warm = NedSearchEngine(dense, mode="bound-prune", cache_file=path)
+        warm = NedSearchEngine(deep, mode="bound-prune", cache_file=path)
         warm_answers = [warm.knn(probe, 4) for probe in queries]
         assert warm_answers == cold_answers
         assert warm.stats.exact_evaluations == 0

@@ -355,7 +355,7 @@ class TestAtomicDumpCrashConsistency:
         from repro.graph.generators import grid_road_graph
 
         graph = grid_road_graph(4, 4, seed=2)
-        store = TreeStore.from_graph(graph, k=2)
+        store = TreeStore.from_graph(graph, k=4)  # k = 4: at k <= 3 no pair reaches the cache
         sidecar = tmp_path / "cache.ned"
         with NedSession(store, cache_file=sidecar) as session:
             before = session.knn(session.probe(graph, 0), 4)

@@ -1,12 +1,23 @@
 """Tests for the tiered distance-resolution cascade (repro.ted.resolver)."""
 
 import math
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.engine import (
+    CrossMatrixPlan,
+    NedSession,
+    PairwiseMatrixPlan,
+    ShardedTreeStore,
+    save_sharded,
+)
 from repro.engine.tree_store import TreeStore, summarize_tree
 from repro.exceptions import DistanceError
-from repro.graph.generators import barabasi_albert_graph, grid_road_graph
+from repro.graph.generators import barabasi_albert_graph, erdos_renyi_graph, grid_road_graph
+from repro.ted.batch import batch_available
 from repro.ted.bounds import ted_star_level_size_bounds
 from repro.ted.resolver import (
     BOUND_TIERS,
@@ -16,6 +27,7 @@ from repro.ted.resolver import (
     SIGNATURE_TIER,
     TIER_CASCADE,
     BoundedNedDistance,
+    SURVEY_TIERS,
     ResolutionCounters,
     ResolutionInterval,
 )
@@ -26,6 +38,11 @@ from repro.trees.random_trees import random_tree_with_depth
 @pytest.fixture(scope="module")
 def store():
     return TreeStore.from_graph(barabasi_albert_graph(40, 2, seed=11), k=3)
+
+
+@pytest.fixture(scope="module")
+def deep_store():
+    return TreeStore.from_graph(barabasi_albert_graph(40, 2, seed=11), k=4)
 
 
 class TestResolutionInterval:
@@ -75,9 +92,11 @@ class TestBoundedNedDistance:
         counters = resolver.counters
         assert counters.pruned_by_level_size + counters.pruned_by_degree == pruned
 
-    def test_degree_tier_credited_only_when_it_governs(self, store):
-        resolver = BoundedNedDistance(k=3)
-        entries = store.entries()
+    def test_degree_tier_credited_only_when_it_governs(self, deep_store):
+        # k = 4: at k <= 3 the degree tier pins every pair it evaluates and
+        # is credited for all of them (test_degree_tier_decides_up_to_k3).
+        resolver = BoundedNedDistance(k=4)
+        entries = deep_store.entries()
         for first in entries:
             for second in entries:
                 interval = resolver.bounds(first, second)
@@ -87,6 +106,20 @@ class TestBoundedNedDistance:
                         first.level_sizes, second.level_sizes
                     )
                     assert interval.lower > level_lower
+
+    def test_degree_tier_decides_up_to_k3(self, store):
+        # At k <= 3 the degree bound is TED*: every pair the degree tier
+        # evaluates comes back closed, credited to it, at the exact value.
+        resolver = BoundedNedDistance(k=3)
+        entries = store.entries()
+        for first in entries[:10]:
+            for second in entries:
+                value, interval = resolver.resolve(first, second)
+                assert interval.exact
+                assert value == ted_star(first.tree, second.tree, k=3)
+        counters = resolver.counters
+        assert counters.exact_evaluations == 0
+        assert counters.decided_by_degree == counters.degree_evaluations > 0
 
     def test_tier_subset_skips_disabled_tiers(self, store):
         entries = store.entries()
@@ -204,3 +237,109 @@ class TestResolverOnGridWorkload:
         full = run(BOUND_TIERS)
         assert full.exact_evaluations <= level_only.exact_evaluations
         assert math.isfinite(full.exact_evaluations)
+
+
+tier_subsets = st.sets(st.sampled_from(BOUND_TIERS)).map(
+    lambda chosen: tuple(tier for tier in BOUND_TIERS if tier in chosen)
+)
+
+
+@pytest.mark.skipif(not batch_available(), reason="the survey needs numpy")
+class TestSurvey:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        nodes=st.integers(min_value=1, max_value=14),
+        k=st.integers(min_value=1, max_value=6),
+        seed=st.integers(min_value=0, max_value=10**6),
+        tiers=tier_subsets,
+        start=st.integers(min_value=0, max_value=16),
+        threshold=st.one_of(st.none(), st.integers(min_value=0, max_value=8)),
+    )
+    def test_survey_matches_a_bounds_loop(self, nodes, k, seed, tiers, start, threshold):
+        # Interval for interval, tier for tier, counter for counter — the
+        # outcome credits (pruned / decided) included.
+        store = TreeStore.from_graph(erdos_renyi_graph(nodes, 0.3, seed=seed), k)
+        others = TreeStore.from_graph(erdos_renyi_graph(5, 0.5, seed=seed + 1), k)
+        looped = BoundedNedDistance(k=k, tiers=tiers)
+        surveyed = BoundedNedDistance(k=k, tiers=tiers)
+        for probe in store.entries()[:4] + others.entries()[:2]:
+            survey = surveyed.survey(probe, store, start=start)
+            candidates = store.entries()[start:]
+            assert len(survey) == len(candidates)
+            pruned = (
+                survey.lower > threshold if threshold is not None
+                else survey.lower != survey.lower
+            )
+            surveyed.record_pruned_many(survey, pruned)
+            surveyed.record_decided_many(survey, survey.closed & ~pruned)
+            for index, candidate in enumerate(candidates):
+                interval = looped.bounds(probe, candidate)
+                assert (
+                    float(survey.lower[index]),
+                    float(survey.upper[index]),
+                    SURVEY_TIERS[survey.tiers[index]],
+                ) == (interval.lower, interval.upper, interval.tier)
+                if threshold is not None and interval.excludes(threshold):
+                    looped.record_pruned(interval)
+                elif interval.exact:
+                    looped.record_decided(interval)
+        assert surveyed.counters == looped.counters
+
+    def test_survey_closes_up_to_k3_only(self, store, deep_store):
+        probe = store.entries()[3]
+        closed = BoundedNedDistance(k=3).survey(probe, store)
+        assert closed.closed.all()
+        assert not BoundedNedDistance(k=3, tiers=(LEVEL_SIZE_TIER,)).closed_form
+        survey = BoundedNedDistance(k=4).survey(deep_store.entries()[3], deep_store)
+        assert not survey.closed.all()
+
+    def test_exact_scan_answers_from_the_survey_up_to_k3(self, store):
+        probe = store.entries()[5]
+        with NedSession(store, mode="exact") as fast, \
+                NedSession(store, mode="exact", batch=False) as slow:
+            assert fast.top_l(probe, 6) == slow.top_l(probe, 6)
+            assert fast.stats.exact_evaluations == fast.stats.cache_hits == 0
+            assert fast.stats.decided_by_bounds + fast.stats.signature_hits == len(store)
+            assert slow.stats.exact_evaluations > 0
+
+    def test_survey_rejects_a_store_of_another_k(self, store, deep_store):
+        with pytest.raises(DistanceError):
+            BoundedNedDistance(k=3).survey(store.entries()[0], deep_store)
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        nodes=st.integers(min_value=2, max_value=12),
+        cols=st.integers(min_value=1, max_value=14),
+        k=st.integers(min_value=1, max_value=4),
+        seed=st.integers(min_value=0, max_value=10**6),
+        threshold=st.one_of(st.none(), st.integers(min_value=0, max_value=8)),
+        sharded=st.booleans(),
+    )
+    def test_survey_backed_matrices_equal_per_pair_builds(
+        self, nodes, cols, k, seed, threshold, sharded
+    ):
+        # Pairwise and cross, exact and bound-prune (with thresholds), dense
+        # and sharded: the batch session's survey-backed build returns the
+        # bits of the batch=False reference; bound-prune counters agree too.
+        dense = TreeStore.from_graph(erdos_renyi_graph(nodes, 0.35, seed=seed), k)
+        col_store = TreeStore.from_graph(erdos_renyi_graph(cols, 0.4, seed=seed + 1), k)
+        with tempfile.TemporaryDirectory() as tmp:
+            store = dense
+            if sharded:
+                save_sharded(dense, tmp, shards=2)
+                store = ShardedTreeStore.load(tmp, max_resident=1)
+            for mode in ("exact", "bound-prune"):
+                for plan in (
+                    PairwiseMatrixPlan(mode=mode, threshold=threshold),
+                    CrossMatrixPlan(col_store=col_store, mode=mode, threshold=threshold),
+                ):
+                    with NedSession(store) as fast, NedSession(store, batch=False) as slow:
+                        assert fast.resolver.batch_active
+                        surveyed, reference = fast.execute(plan), slow.execute(plan)
+                    assert [[value.hex() for value in row] for row in surveyed.values] == [
+                        [value.hex() for value in row] for row in reference.values
+                    ]
+                    if mode == "bound-prune":
+                        assert surveyed.stats.as_dict() == reference.stats.as_dict()
+                    if k <= 3:
+                        assert surveyed.stats.exact_evaluations == 0

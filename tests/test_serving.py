@@ -50,7 +50,9 @@ from repro.serving.ticks import AdaptiveTicks
 from repro.trees.adjacent import k_adjacent_tree
 from repro.trees.tree import Tree
 
-K = 2
+#: k = 4: at k <= 3 the degree tier pins every pair, so no exact block
+#: would ever reach the worker pool these tests exercise.
+K = 4
 
 #: Tree depth for the wire-protocol property tests.  Strategy-built parent
 #: arrays have at most 8 entries, hence height <= 7, so every generated

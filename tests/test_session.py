@@ -35,7 +35,10 @@ def graph():
 
 @pytest.fixture(scope="module")
 def store(graph):
-    return TreeStore.from_graph(graph, k=3)
+    # k = 4: at k <= 3 the degree tier pins every pair, so the cache,
+    # sidecar, deadline and exact-tier accounting checked here would never
+    # be exercised.
+    return TreeStore.from_graph(graph, k=4)
 
 
 def _mixed_plans(session, graph, nodes):
@@ -139,7 +142,7 @@ class TestPlanExecution:
         assert planned.values == direct.values
 
     def test_cross_matrix_plan(self, graph, store):
-        other = TreeStore.from_graph(graph, 3, nodes=graph.nodes()[:10])
+        other = TreeStore.from_graph(graph, store.k, nodes=graph.nodes()[:10])
         with NedSession(store) as session:
             result = session.cross_matrix(other, mode="bound-prune")
         assert len(result.row_nodes) == len(store)

@@ -119,7 +119,9 @@ def mixed_blocks(draw):
 
 @pytest.fixture(scope="module")
 def store():
-    return TreeStore.from_graph(barabasi_albert_graph(30, 2, seed=7), k=3)
+    # k = 4: at k <= 3 the degree tier pins every pair, so sessions and
+    # resolvers over this store would never reach the kernel.
+    return TreeStore.from_graph(barabasi_albert_graph(30, 2, seed=7), k=4)
 
 
 class TestBatchKernelBitIdentity:

@@ -4,13 +4,17 @@ These verify, on randomly generated unordered trees, the four metric
 properties the paper proves in Section 7 plus the structural invariants the
 algorithm relies on (integrality, invariance to node relabeling, and the
 relation to tree size), and the two facts the batch kernel's solver-free
-top levels rest on: the root level's matching cost is always 0, and for
-k <= 3 the degree-multiset lower bound is exact.
+top levels and the closed-form degree tier rest on: the root level's
+matching cost is always 0, and for k <= 3 the degree-multiset lower bound
+is exact — so a store-wide bound survey pins every pair there, bitwise
+equal to every exact path.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.engine.tree_store import TreeStore, summarize_tree
+from repro.ted.resolver import BOUND_TIERS, SURVEY_TIERS, BoundedNedDistance
 from repro.trees.canonize import trees_isomorphic
 from repro.trees.tree import Tree
 from repro.ted.batch import BatchTedKernel, batch_available
@@ -191,3 +195,25 @@ def test_degree_bound_is_exact_up_to_k3(pairs, k):
         hungarian = ted_star(first, second, k=k, backend="hungarian")
         assert lower.hex() == scipy_value.hex() == hungarian.hex() == batch_value.hex()
     assert kernel.solver_calls == 0
+
+
+@pytest.mark.skipif(not batch_available(), reason="the batch TED* kernel needs numpy and SciPy")
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(any_trees, any_trees), min_size=1, max_size=6),
+       st.integers(min_value=1, max_value=3))
+def test_survey_is_exact_up_to_k3(pairs, k):
+    # The store-wide survey closes every interval at k <= 3 (through the
+    # signature, level-size or degree tier) and its value is the distance
+    # under every exact path, bit for bit.
+    pairs = [(first.truncate(k - 1), second.truncate(k - 1)) for first, second in pairs]
+    store = TreeStore(k, [summarize_tree(i, second, k) for i, (_, second) in enumerate(pairs)])
+    resolver = BoundedNedDistance(k=k)
+    batch = BatchTedKernel().ted_star_block(pairs, k=k)
+    for index, (first, second) in enumerate(pairs):
+        survey = resolver.survey(summarize_tree("probe", first, k), store)
+        assert survey.closed.all()
+        assert SURVEY_TIERS[survey.tiers[index]] in BOUND_TIERS
+        value = float(survey.lower[index])
+        scipy_value = ted_star(first, second, k=k, backend="scipy")
+        hungarian = ted_star(first, second, k=k, backend="hungarian")
+        assert value.hex() == scipy_value.hex() == hungarian.hex() == batch[index].hex()
