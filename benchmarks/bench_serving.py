@@ -64,13 +64,14 @@ from repro.engine.session import (  # noqa: E402
 from repro.engine.shards import ShardedTreeStore, save_sharded  # noqa: E402
 from repro.engine.tree_store import TreeStore, summarize_tree  # noqa: E402
 from repro.exceptions import DeadlineError, OverloadError, ReproError  # noqa: E402
+from repro.ted.bounds import DEGREE_BOUND_EXACT_MAX_K  # noqa: E402
 from repro.trees.adjacent import k_adjacent_tree  # noqa: E402
 from repro.utils.timer import clock  # noqa: E402
 
-#: Tree levels.  At k <= 3 the degree tier pins every pair, so the exact
-#: blocks this benchmark sends to the shared-memory workers only exist
-#: from k = 4 on.
-K = 4
+#: Default tree levels.  At k <= 3 the bound survey decides every pair in
+#: the serving process, so the workers only see exact blocks from k = 4 on
+#: (``--k 4``, where the run must dispatch some).
+K = 2
 
 #: Matches the ready line ``ned-serve`` prints once it is accepting
 #: requests: ``... at http://127.0.0.1:40123``.
@@ -84,7 +85,7 @@ def _subprocess_env() -> Dict[str, str]:
 
 
 # ----------------------------------------------------------------- workload
-def build_client_plans(graph, probes: int, client_index: int) -> List[Any]:
+def build_client_plans(graph, k: int, probes: int, client_index: int) -> List[Any]:
     """The deterministic plan workload of one client.
 
     Every client asks for the same all-pairs matrix (the replicated heavy
@@ -96,7 +97,7 @@ def build_client_plans(graph, probes: int, client_index: int) -> List[Any]:
     plans: List[Any] = [PairwiseMatrixPlan(mode="exact", chunk_size=32)]
     for offset in range(probes):
         node = nodes[(client_index * probes + offset) % len(nodes)]
-        probe = summarize_tree(node, k_adjacent_tree(graph, node, K), K)
+        probe = summarize_tree(node, k_adjacent_tree(graph, node, k), k)
         plans.append(KnnPlan(probe, 5))
     return plans
 
@@ -125,7 +126,7 @@ def client_baseline_main(args: argparse.Namespace) -> int:
     store = ShardedTreeStore.load(args.store_dir)
     session = NedSession(store)
     try:
-        plans = build_client_plans(graph, args.probes, args.client_index)
+        plans = build_client_plans(graph, args.k, args.probes, args.client_index)
         results = session.execute_batch(plans)
         print(json.dumps({"digest": digest_results(results), "plans": len(plans)}))
     finally:
@@ -193,6 +194,8 @@ def run_baseline(
                 args.dataset,
                 "--scale",
                 str(args.scale),
+                "--k",
+                str(args.k),
                 "--probes",
                 str(args.probes),
                 "--client-index",
@@ -240,7 +243,9 @@ def run_service(store_dir: Path, args: argparse.Namespace) -> Dict[str, Any]:
             host=server.host, port=server.port, tenant=f"client-{index}"
         )
         try:
-            results = client.execute_batch(build_client_plans(graph, args.probes, index))
+            results = client.execute_batch(
+                build_client_plans(graph, args.k, args.probes, index)
+            )
             digests[index] = digest_results(results)
         except ReproError as error:  # collected, reported by the driver
             errors.append(error)
@@ -352,6 +357,9 @@ def main(argv=None) -> int:
     parser.add_argument("--dataset", default="CAR")
     parser.add_argument("--scale", type=float, default=None,
                         help="dataset scale (default 0.08 with --smoke, 0.2 otherwise)")
+    parser.add_argument("--k", type=int, default=K,
+                        help=f"tree levels (default {K}); from 4 on the run "
+                             "must dispatch exact blocks to the workers")
     parser.add_argument("--clients", type=int, default=None,
                         help="concurrent clients (default 3 with --smoke, 4 otherwise)")
     parser.add_argument("--probes", type=int, default=3,
@@ -383,9 +391,9 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="bench_serving_") as tmp:
         store_dir = Path(tmp) / "shards"
         graph = load_dataset(args.dataset, scale=args.scale)
-        store = TreeStore.from_graph(graph, k=K)
+        store = TreeStore.from_graph(graph, k=args.k)
         save_sharded(store, store_dir, shards=args.shards)
-        print(f"serving load bench: {args.dataset} scale={args.scale} "
+        print(f"serving load bench: {args.dataset} scale={args.scale} k={args.k} "
               f"({len(store)} entries, {args.shards} shards), "
               f"{args.clients} clients x {args.probes}+1 plans, "
               f"{args.workers} workers")
@@ -400,6 +408,10 @@ def main(argv=None) -> int:
             raise RuntimeError(
                 f"leaked /dev/shm segments: {service['leaked_segments']}"
             )
+        if args.k > DEGREE_BOUND_EXACT_MAX_K and not service["dispatch_blocks"]:
+            raise RuntimeError(
+                f"no exact block reached the workers at k={args.k}"
+            )
         if service["stream_decodes"] > args.shards:
             raise RuntimeError(
                 f"store was re-decoded while serving: "
@@ -413,6 +425,7 @@ def main(argv=None) -> int:
         "workload": {
             "dataset": args.dataset,
             "scale": args.scale,
+            "k": args.k,
             "entries": len(store),
             "shards": args.shards,
             "clients": args.clients,
@@ -427,7 +440,8 @@ def main(argv=None) -> int:
         "digests_identical": True,
         "shed_burst": shed,
     }
-    emit_bench_json("serving_load", record, path=Path("BENCH_serving.json"))
+    section = "serving_load" if args.k == K else f"serving_load_k{args.k}"
+    emit_bench_json(section, record, path=Path("BENCH_serving.json"))
     print(f"  baseline (cold fleet): {baseline['wall_seconds']:.2f}s "
           f"({baseline['plans_per_sec']:.1f} plans/sec)")
     print(f"  service  (shared shm): {service['wall_seconds']:.2f}s "

@@ -62,7 +62,7 @@ import warnings
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.exceptions import DistanceError
 from repro.engine.shards import ShardedTreeStore
@@ -83,6 +83,10 @@ StoreLike = Union[TreeStore, ShardedTreeStore]
 PathLike = Union[str, Path]
 
 MODES = ("exact", "bound-prune")
+#: Shortest row (or column) a matrix build bounds with one store survey; a
+#: survey costs about as much as four per-pair ``bounds()`` calls whatever
+#: its length, so shorter lines run the per-pair cascade.
+MIN_SURVEY_LINE = 4
 EXECUTORS = ("serial", "process")
 
 # One legacy chunk of exact work, self-contained for custom executors:
@@ -593,29 +597,38 @@ def _survey_cells(
     One :meth:`BoundedNedDistance.survey` per row against the columns (the
     upper triangle for a symmetric build), or per column against the rows
     when there are fewer columns, so each survey covers the longer side.
-    Bounds are symmetric, so the orientation changes neither intervals nor
-    counters.  Cells beyond ``threshold`` become ``inf`` and closed cells
-    take their value, credited exactly as the per-cell cascade credits
-    them; the open cells come back in row-major order, the order of the
-    per-cell loop, for the cache and exact tiers.
+    Lines shorter than :data:`MIN_SURVEY_LINE` run :meth:`bounds` pair by
+    pair instead.  Bounds are symmetric, so the orientation changes neither
+    intervals nor counters.  Cells beyond ``threshold`` become ``inf`` and
+    closed cells take their value, credited exactly as the per-cell cascade
+    credits them; the open cells come back in row-major order, the order of
+    the per-cell loop, for the cache and exact tiers.
     """
     import numpy as np
 
     grid = np.zeros((len(rows), len(cols)))
     opened: List[Tuple[int, int]] = []
     transposed = not symmetric and len(cols) < len(rows)
-    probes, store = (cols, row_store) if transposed else (rows, col_store)
+    probes, candidates, store = (
+        (cols, rows, row_store) if transposed else (rows, cols, col_store)
+    )
     for index, probe in enumerate(probes):
         start = index + 1 if symmetric else 0
-        survey = resolver.survey(probe, store, start=start)
-        if threshold is None:
-            pruned = np.zeros(len(survey), dtype=bool)
+        if len(candidates) - start < MIN_SURVEY_LINE:
+            lower, pruned, closed = _bound_line(
+                resolver, probe, candidates[start:], threshold
+            )
         else:
-            pruned = survey.lower > threshold
-        closed = survey.closed & ~pruned
-        resolver.record_pruned_many(survey, pruned)
-        resolver.record_decided_many(survey, closed)
-        line = np.where(pruned, math.inf, survey.lower)
+            survey = resolver.survey(probe, store, start=start)
+            if threshold is None:
+                pruned = np.zeros(len(survey), dtype=bool)
+            else:
+                pruned = survey.lower > threshold
+            closed = survey.closed & ~pruned
+            resolver.record_pruned_many(survey, pruned)
+            resolver.record_decided_many(survey, closed)
+            lower = survey.lower
+        line = np.where(pruned, math.inf, lower)
         others = (np.flatnonzero(~(pruned | closed)) + start).tolist()
         if transposed:
             grid[:, index] = line
@@ -626,6 +639,33 @@ def _survey_cells(
     if transposed:
         opened.sort()
     return grid.tolist(), opened
+
+
+def _bound_line(
+    resolver: BoundedNedDistance,
+    probe,
+    candidates: Sequence,
+    threshold: Optional[float],
+) -> Tuple[Any, Any, Any]:
+    """The per-pair cascade over a short line, as survey-shaped arrays."""
+    import numpy as np
+
+    lower, pruned, closed = [], [], []
+    for candidate in candidates:
+        interval = resolver.bounds(probe, candidate)
+        excluded = threshold is not None and interval.excludes(threshold)
+        if excluded:
+            resolver.record_pruned(interval)
+        elif interval.exact:
+            resolver.record_decided(interval)
+        lower.append(interval.lower)
+        pruned.append(excluded)
+        closed.append(interval.exact and not excluded)
+    return (
+        np.array(lower, dtype=float),
+        np.array(pruned, dtype=bool),
+        np.array(closed, dtype=bool),
+    )
 
 
 def _make_batch_dispatch(

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from pathlib import Path
-from typing import Dict, Hashable, Iterable, Iterator, List, NamedTuple, Tuple, Union
+from typing import Dict, Hashable, Iterable, Iterator, List, Tuple, Union
 
 from repro.exceptions import GraphError, TreeError
 from repro.engine.tree_store import (
@@ -66,14 +66,6 @@ MANIFEST_NAME = "manifest.bin"
 
 #: Resident-shard budget used unless the caller picks one.
 DEFAULT_MAX_RESIDENT = 4
-
-
-class _SummaryRecord(NamedTuple):
-    """An entry's bound summaries without its tree (for packing)."""
-
-    level_sizes: Tuple[int, ...]
-    degree_profiles: Tuple[Tuple[int, ...], ...]
-    signature: str
 
 
 def _shard_file_name(index: int) -> str:
@@ -228,9 +220,8 @@ class ShardedTreeStore:
         # its ``shards.stream_decodes`` count) happens at most once.
         self._packed: Optional[List[List[int]]] = None
         self._packed_signatures: Optional[List[str]] = None
-        # The same pass keeps each entry's bound summaries (not its tree)
-        # until packed_summaries() turns them into arrays.
-        self._summary_records: Optional[List[_SummaryRecord]] = None
+        # Memoized bound summaries, packed by their own streaming pass only
+        # when a survey first asks for them.
         self._packed_summaries: Optional[PackedSummaries] = None
 
     def attach_metrics(self, registry) -> None:
@@ -417,22 +408,22 @@ class ShardedTreeStore:
     def packed_summaries(self) -> PackedSummaries:
         """Return the bound summaries of every entry as arrays, in build order.
 
-        Same contract as :meth:`TreeStore.packed_summaries`; the records come
-        from the one streaming pass behind :meth:`packed_parent_arrays`, so
-        surveying the store never touches the resident LRU either.
+        Same contract as :meth:`TreeStore.packed_summaries`.  Packed by a
+        streaming pass of its own (like :meth:`packed_parent_arrays`, it
+        never touches the resident LRU), the first time a survey asks, so a
+        store that is never surveyed keeps no summaries and a store that is
+        only surveyed builds no parent arrays.
         """
         if self._packed_summaries is None:
-            self._ensure_packed()
-            self._packed_summaries = PackedSummaries.pack(self.k, self._summary_records)
-            self._summary_records = None
+            self._packed_summaries = PackedSummaries.pack(self.k, self._stream_entries())
         return self._packed_summaries
 
-    def _ensure_packed(self) -> None:
-        if self._packed is not None:
-            return
-        packed: List[List[int]] = []
-        signatures: List[str] = []
-        records: List[_SummaryRecord] = []
+    def _stream_entries(self) -> Iterator[StoredTree]:
+        """Every entry in build order, shard by shard, outside the LRU.
+
+        Resident shards are read in place; the others are decoded
+        transiently (``shards.stream_decodes``) and dropped after use.
+        """
         for index in range(self.shard_count):
             resident = self._resident.get(index)
             if resident is None:
@@ -441,15 +432,18 @@ class ShardedTreeStore:
                     self.metrics.inc("shards.stream_decodes")
             else:
                 entries = resident
-            for entry in entries:
-                packed.append(entry.tree.parent_array())
-                signatures.append(entry.signature)
-                records.append(
-                    _SummaryRecord(entry.level_sizes, entry.degree_profiles, entry.signature)
-                )
+            yield from entries
+
+    def _ensure_packed(self) -> None:
+        if self._packed is not None:
+            return
+        packed: List[List[int]] = []
+        signatures: List[str] = []
+        for entry in self._stream_entries():
+            packed.append(entry.tree.parent_array())
+            signatures.append(entry.signature)
         self._packed = packed
         self._packed_signatures = signatures
-        self._summary_records = records
 
     def subset(self, nodes: Iterable[Node]) -> TreeStore:
         """Return a dense, independent :class:`TreeStore` over ``nodes``.

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import NedSearchEngine, TreeStore, pairwise_distance_matrix
+from repro.engine import NedSearchEngine, NedSession, TreeStore, pairwise_distance_matrix
 from repro.engine.matrix import cross_distance_matrix
 from repro.exceptions import DistanceError
 from repro.graph.generators import barabasi_albert_graph, erdos_renyi_graph, grid_road_graph
@@ -20,6 +20,7 @@ from repro.ted.resolver import (
     EXACT_TIER,
     BoundedNedDistance,
 )
+from repro.ted import batch_available
 from repro.ted.ted_star import ted_star
 
 
@@ -132,6 +133,24 @@ class TestMatrixCacheIdentity:
         cached = cross_distance_matrix(store_a, store_b, cache_size=DEFAULT_CACHE_SIZE)
         uncached = cross_distance_matrix(store_a, store_b, cache_size=0)
         assert cached.values == uncached.values
+
+    def test_closed_form_matrices_skip_the_cache(self):
+        # At k = 3 the bound survey decides every pair on the batch path, so
+        # the cache is never consulted; on or off, the values are those of
+        # the per-pair path, which does go through the cache.
+        shallow = TreeStore.from_graph(barabasi_albert_graph(40, 2, seed=11), k=3)
+        for mode in ("exact", "bound-prune"):
+            cached = pairwise_distance_matrix(
+                shallow, mode=mode, cache_size=DEFAULT_CACHE_SIZE
+            )
+            uncached = pairwise_distance_matrix(shallow, mode=mode, cache_size=0)
+            with NedSession(shallow, batch=False) as reference:
+                expected = reference.pairwise_matrix(mode=mode)
+            assert cached.values == uncached.values == expected.values
+            if batch_available():
+                assert cached.stats.cache_hits == cached.stats.cache_misses == 0
+        with NedSession(shallow, batch=False) as reference:
+            assert reference.pairwise_matrix(mode="exact").stats.cache_misses > 0
 
     def test_accounting_exact_mode(self, store):
         result = pairwise_distance_matrix(store, cache_size=DEFAULT_CACHE_SIZE)

@@ -20,7 +20,9 @@ from repro import obs
 from repro.engine import (
     KnnPlan,
     NedSession,
+    PairwiseMatrixPlan,
     ShardedTreeStore,
+    TopLPlan,
     TreeStore,
     save_sharded,
 )
@@ -38,6 +40,7 @@ from repro.obs import (
     tracer_from_env,
 )
 from repro.obs.tracing import _NULL_SPAN
+from repro.ted import batch_available
 
 
 @pytest.fixture(scope="module")
@@ -296,6 +299,25 @@ class TestSessionObservability:
             answers = traced.execute_batch(_knn_plans(traced, graph, nodes))
             assert traced.tracer.spans  # actually recorded something
         assert answers == baseline
+
+    def test_closed_form_traced_results_and_survey_histogram(self, graph):
+        # At k = 3 matrices and exact scans are answered from the bound
+        # survey: tracing leaves the answers alone, and the survey is timed.
+        shallow = TreeStore.from_graph(graph, k=3)
+        plans = [
+            TopLPlan(shallow.entries()[0], 5, mode="exact"),
+            PairwiseMatrixPlan(mode="exact"),
+        ]
+        answers = []
+        for trace in (False, True):
+            with NedSession(shallow, trace=trace) as session:
+                top, matrix = session.execute_batch(plans)
+                answers.append((top, matrix.values))
+                snapshot = session.metrics_snapshot()
+        assert answers[0] == answers[1]
+        if batch_available():
+            assert snapshot["histograms"]["resolver.survey_seconds"]["count"] > 0
+            assert snapshot["resolution"]["exact_evaluations"] == 0
 
     def test_metrics_snapshot_shards_section_and_histograms(
         self, graph, store, tmp_path

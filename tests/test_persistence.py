@@ -671,6 +671,23 @@ class TestPackedParentStreaming:
         # The other four shards were decoded transiently, not loaded.
         assert counters.get("shards.stream_decodes") == 4
 
+    def test_sharded_summaries_pack_on_demand(self, dense, tmp_path):
+        pytest.importorskip("numpy")
+        save_sharded(dense, tmp_path / "s", shards=5)
+        store = ShardedTreeStore.load(tmp_path / "s", max_resident=2)
+        store.entry(store.nodes()[0])
+        resident = list(store._resident)
+        summaries = store.packed_summaries()
+        # A streaming pass of its own: no parent arrays, LRU untouched.
+        assert store._packed is None
+        assert list(store._resident) == resident
+        assert store.packed_summaries() is summaries
+        expected = dense.packed_summaries()
+        assert (summaries.sizes == expected.sizes).all()
+        assert (summaries.signature_ids == expected.signature_ids).all()
+        for got, want in zip(summaries.degrees, expected.degrees):
+            assert (got == want).all()
+
     def test_sharded_packing_memoized(self, dense, tmp_path):
         save_sharded(dense, tmp_path / "s", shards=5)
         store = ShardedTreeStore.load(tmp_path / "s", max_resident=2)

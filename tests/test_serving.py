@@ -454,6 +454,34 @@ class TestService:
         assert "suite" in telemetry[protocol.F_TENANTS]
         session.close()
 
+    @needs_shm
+    def test_closed_form_results_bit_identical_to_the_per_pair_path(
+        self, demo_graph, tmp_path
+    ):
+        # At k = 3 the serving process decides every pair from the bound
+        # survey: the answers are the per-pair path's, and no block is
+        # dispatched to the workers.
+        from repro.serving.client import NedServiceClient
+        from repro.serving.server import NedServiceServer
+
+        store = TreeStore.from_graph(demo_graph, k=3)
+        save_sharded(store, tmp_path / "shards", shards=3)
+        with NedSession(store, batch=False) as reference:
+            plans = self._plans(demo_graph, reference)
+            expected = reference.execute_batch(plans)
+        with NedSession(ShardedTreeStore.load(tmp_path / "shards")) as session:
+            with NedServiceServer(session, workers=2, min_pairs=2) as server:
+                client = NedServiceClient(port=server.port, tenant="closed-form")
+                got = client.execute_batch(plans)
+                telemetry = client.telemetry()
+        assert got[0] == expected[0]
+        assert got[1] == expected[1]
+        assert got[2].values == expected[2].values
+        assert got[2].row_nodes == expected[2].row_nodes
+        merged = telemetry[protocol.F_MERGED]["counters"]
+        assert merged["serving.request_plans"] == 3
+        assert merged.get("serving.dispatch_blocks", 0) == 0
+
     def test_overload_and_deadline_errors_are_typed_across_the_wire(
         self, demo_graph, demo_store
     ):

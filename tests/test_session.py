@@ -336,6 +336,69 @@ class TestSessionServer:
                 session.serve(max_batch=0)
 
 
+@pytest.fixture(scope="module")
+def closed_store(graph):
+    # k = 3: the degree bound is TED*, so the bound cascade (per pair) or
+    # one store-wide survey (matrices, exact scans) decides every pair.
+    return TreeStore.from_graph(graph, k=3)
+
+
+class TestClosedFormSession:
+    """The session equivalences above, on the closed-form path at k = 3."""
+
+    def test_batched_identical_to_per_query(self, graph, closed_store):
+        nodes = graph.nodes()[:8]
+        with NedSession(closed_store) as reference_session:
+            plans = _mixed_plans(reference_session, graph, nodes)
+        per_query = []
+        for plan in plans:
+            with NedSession(closed_store) as single:
+                per_query.append(single.execute(plan))
+        with NedSession(closed_store) as session:
+            assert session.execute_batch(plans) == per_query
+            assert session.stats.exact_evaluations == 0
+        with NedSession(closed_store, batch=False) as reference:
+            assert reference.execute_batch(plans) == per_query
+
+    def test_async_results_match_sequential(self, graph, closed_store):
+        with NedSession(closed_store) as session:
+            plans = [KnnPlan(session.probe(graph, node), 4) for node in graph.nodes()[:10]]
+            sequential = [session.execute(plan) for plan in plans]
+
+        async def serve():
+            with NedSession(closed_store) as serving_session:
+                async with serving_session.serve() as server:
+                    return await server.map(plans)
+
+        assert asyncio.run(serve()) == sequential
+
+    @pytest.mark.parametrize("mode", ["exact", "bound-prune"])
+    def test_matrix_plans_match_builders_and_the_per_pair_path(
+        self, graph, closed_store, mode
+    ):
+        other = TreeStore.from_graph(graph, 3, nodes=graph.nodes()[:10])
+        with NedSession(closed_store) as session, \
+                NedSession(closed_store, batch=False) as reference:
+            planned = session.pairwise_matrix(mode=mode)
+            crossed = session.cross_matrix(other, mode=mode)
+            direct = pairwise_distance_matrix(closed_store, mode=mode)
+            assert planned.values == direct.values
+            assert planned.values == reference.pairwise_matrix(mode=mode).values
+            assert crossed.values == reference.cross_matrix(other, mode=mode).values
+            if session.resolver.batch_active:
+                assert session.stats.exact_evaluations == 0
+                assert session.stats.cache_hits == session.stats.cache_misses == 0
+
+    def test_point_plan_modes_agree(self, graph, closed_store):
+        with NedSession(closed_store) as session:
+            probe = session.probe(graph, 0)
+            default = session.knn(probe, 4)
+            assert session.knn(probe, 4, mode="exact", index="linear") == default
+            hybrid = session.knn(probe, 4, mode="hybrid", index="vptree")
+            assert [d for _, d in hybrid] == [d for _, d in default]
+            assert session.top_l(probe, 5, mode="exact") == session.top_l(probe, 5)
+
+
 class TestReviewRegressions:
     """Regressions from the PR-5 review pass."""
 

@@ -570,6 +570,21 @@ class TestSessionBatchPolicy:
             assert batched.top_l(probe, 5) == plain.top_l(probe, 5)
             assert batched.stats.as_dict() == plain.stats.as_dict()
 
+    @pytest.mark.parametrize("mode", ["exact", "bound-prune"])
+    def test_closed_form_matrix_and_top_l_identical_without_the_kernel(self, mode):
+        # At k = 3 the bound survey decides every pair: the per-pair path's
+        # values, and the kernel never runs.
+        shallow = TreeStore.from_graph(barabasi_albert_graph(30, 2, seed=7), k=3)
+        probe = shallow.entries()[0]
+        with NedSession(shallow, mode=mode) as batched, \
+                NedSession(shallow, mode=mode, batch=False) as plain:
+            fast = batched.pairwise_matrix(mode=mode)
+            assert fast.values == plain.pairwise_matrix(mode=mode).values
+            assert batched.top_l(probe, 5) == plain.top_l(probe, 5)
+            assert batched.stats.exact_evaluations == 0
+            kernel = batched.resolver.batch_kernel
+            assert kernel.batched_pairs == kernel.blocks == 0
+
     def test_exact_batch_latency_histogram_observed(self, store):
         with NedSession(store) as session:
             session.pairwise_matrix(mode="exact")
