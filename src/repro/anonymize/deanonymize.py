@@ -270,7 +270,8 @@ def deanonymization_precision_with_matrix(
     same ``(distance, repr(node))`` tie order), but the batch build gets the
     engine's whole performance arsenal: bound-based resolution (``mode``),
     the signature-keyed distance cache (duplicate tree shapes are computed
-    once), and the zero-copy ``"process"`` executor for multi-core sweeps.
+    once), and ``executor="process"``, which sends the exact blocks to a
+    shared-memory worker pool for multi-core sweeps.
     Returns the usual report plus the matrix build's counters.
     """
     check_positive_int(top_l, "top_l")

@@ -16,7 +16,7 @@ warm piece of state:
   layer: one store, one warm :class:`repro.ted.resolver.BoundedNedDistance`
   resolver (bound tiers + the signature-keyed exact-distance cache,
   on by default), the cache-sidecar lifecycle (warm-if-exists at open,
-  save-on-close), a pluggable matrix executor, the batched executor, and the
+  save-on-close), the matrix executor, the batched executor, and the
   asyncio serving facade.  Matrices, search engines and the metric indexes
   are all thin consumers of a session.  When numpy/SciPy are available the
   session also auto-attaches the array-native batch TED* kernel
@@ -25,7 +25,7 @@ warm piece of state:
   parent arrays, bit-identical to the per-pair scipy path (opt out with
   ``batch=False``).
 * :mod:`repro.engine.matrix` — chunked pairwise/cross distance matrices
-  (``serial`` / ``process`` / custom executors, ``bound-prune`` mode); the
+  (``serial`` / ``process`` executors, ``bound-prune`` mode); the
   module-level functions open an ephemeral session per build.
 * :mod:`repro.engine.search` — :class:`NedSearchEngine`: ``knn`` /
   ``range_search`` / ``top_l_candidates`` over any :mod:`repro.index`
@@ -81,12 +81,16 @@ Performance knobs (all on the session)
   Pass ``0`` when raw touched-pair counters are the measurement (the tier
   ablations do).  ``stats.cache_hits`` / ``cache_misses`` /
   ``cache_hit_rate`` report the effect.
-* ``executor`` — where matrix chunks run.  ``"serial"`` stays in-process;
-  ``"process"`` ships the packed stores *once per worker* (process-pool
-  initializer) and streams chunks of bare ``(i, j)`` index pairs.  If the
-  pool cannot be created or breaks mid-run, the build finishes serially —
-  re-running only the chunks that had not yielded — and records the
-  downgrade in ``executor_used``.
+* ``executor`` — where a matrix build's exact blocks run.  Every build
+  resolves its open cells through the resolver's ``resolve_many`` (cache,
+  within-build dedup, then ``exact_many`` blocks of ``chunk_size`` pairs).
+  ``"serial"`` evaluates the blocks in process; ``"process"`` hands them to
+  the serving layer's :class:`repro.serving.workers.SharedWorkerPool` —
+  the row store exported *once* into shared memory, ``max_workers``
+  processes attached to it — or to the pool a served session already has.
+  A broken pool restarts while the retry budget lasts; past that, or if it
+  cannot start, the remaining blocks run locally (only blocks not yet
+  returned are recomputed) and ``executor_used`` records the downgrade.
 * ``cache_file`` — the durable sidecar.  Since format v2 it persists
   per-entry *hit counts*, so an overflowing load keeps the hottest entries
   (not the newest), and :func:`repro.ted.resolver.merge_sidecars` (CLI:

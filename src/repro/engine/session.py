@@ -18,9 +18,10 @@ serving both batch and point workloads:
 * the cache-sidecar lifecycle: ``cache_file=`` warms the resolver at open if
   the sidecar exists and saves it back on :meth:`~NedSession.close` (sessions
   are context managers; closing twice is a no-op),
-* a pluggable executor for matrix chunks (``"serial"`` / ``"process"`` / a
-  callable), plus the *batched* executor (:meth:`~NedSession.execute_batch`)
-  and its asyncio serving facade (:meth:`~NedSession.serve`).
+* the matrix executor (``"serial"`` in-process exact blocks, or
+  ``"process"``: a shared-memory worker pool), plus the *batched* executor
+  (:meth:`~NedSession.execute_batch`) and its asyncio serving facade
+  (:meth:`~NedSession.serve`).
 
 Query plans
 -----------
@@ -65,7 +66,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import (
     Any,
-    Callable,
     Dict,
     Hashable,
     Iterable,
@@ -105,8 +105,7 @@ Query = Union[StoredTree, Tree]
 StoreLike = Union[TreeStore, ShardedTreeStore]
 PathLike = Union[str, Path]
 
-#: Matrix-chunk executors a session accepts (a callable also works; see
-#: :mod:`repro.engine.matrix`).
+#: Matrix executors a session accepts (see :mod:`repro.engine.matrix`).
 SESSION_EXECUTORS = ("serial", "process")
 
 
@@ -123,7 +122,7 @@ class PairwiseMatrixPlan:
     mode: str = "exact"
     threshold: Optional[float] = None
     chunk_size: int = 64
-    executor: Optional[Union[str, Callable]] = None
+    executor: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -139,7 +138,7 @@ class CrossMatrixPlan:
     mode: str = "exact"
     threshold: Optional[float] = None
     chunk_size: int = 64
-    executor: Optional[Union[str, Callable]] = None
+    executor: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -265,10 +264,11 @@ class NedSession:
         exception — every cached entry is exact, so a partial sidecar is
         still a valid resume point.  Incompatible with ``cache_size=0``.
     executor:
-        Default matrix-chunk executor (``"serial"``, ``"process"`` or a
-        callable); individual matrix plans may override it.
+        Default matrix executor (``"serial"`` or ``"process"``); individual
+        matrix plans may override it.
     max_workers:
-        Worker count for the ``"process"`` executor.
+        Worker count for the ``"process"`` executor (default
+        ``os.cpu_count()``).
     mode, index:
         Default query mode / index backend for point plans
         (:class:`KnnPlan` etc.) that do not override them.
@@ -325,7 +325,7 @@ class NedSession:
         tiers: Optional[Sequence[str]] = None,
         cache_size: Optional[int] = None,
         cache_file: Optional[PathLike] = None,
-        executor: Union[str, Callable] = "serial",
+        executor: str = "serial",
         max_workers: Optional[int] = None,
         mode: str = "bound-prune",
         index: str = "linear",
@@ -352,10 +352,10 @@ class NedSession:
                 "cache_file needs the distance cache: a session with "
                 "cache_size=0 has nothing to persist"
             )
-        if not callable(executor) and executor not in SESSION_EXECUTORS:
+        if executor not in SESSION_EXECUTORS:
             raise DistanceError(
                 f"unknown executor {executor!r}; expected one of "
-                f"{SESSION_EXECUTORS} or a callable"
+                f"{SESSION_EXECUTORS}"
             )
         self.store = store
         self.k = k
@@ -709,7 +709,7 @@ class NedSession:
                 "resilience.sidecar_save_failures", 0
             ),
             "pool_restarts": counters.get("executor.pool_restarts", 0),
-            "serial_fallbacks": counters.get("executor.serial_fallbacks", 0),
+            "serial_fallbacks": counters.get("serving.dispatch_fallbacks", 0),
         }
         breakers = self._resolver.breaker_states()
         if breakers is not None:
@@ -938,11 +938,10 @@ class NedSession:
         the engine derives from it) is a pure function of the isomorphism
         classes, so two kNN plans whose probes share a signature return
         bit-identical lists.  Matrix plans key on their configuration (and
-        the column store's identity).  Returns ``None`` for unkeyable plans
-        (custom callable executors) — and for *every* plan when the
-        session's cache is disabled: ``cache_size=0`` means "measure the
-        raw work", so signature-based dedup and reordering are off, exactly
-        like the matrix builder's within-build dedup.
+        the column store's identity).  Returns ``None`` for *every* plan
+        when the session's cache is disabled: ``cache_size=0`` means
+        "measure the raw work", so signature-based dedup and reordering are
+        off, exactly like the matrix builder's within-build dedup.
         """
         if self.cache_size == 0:
             return None
@@ -956,8 +955,6 @@ class NedSession:
             return (1, "topl", plan.mode or self.mode, "", plan.probe.signature,
                     plan.top_l)
         executor = plan.executor if plan.executor is not None else self.executor
-        if callable(executor):
-            return None
         # threshold is normalised so the key tuples stay totally ordered
         # (None never meets a float in a comparison).
         threshold = -1.0 if plan.threshold is None else float(plan.threshold)

@@ -378,8 +378,8 @@ class ShardedTreeStore:
         """Return every entry's parent array, in build order.
 
         Same wire format as :meth:`TreeStore.packed_parent_arrays` — the
-        process-pool matrix executor ships this once per worker, and the
-        batch TED* kernel pre-compiles from the same layout.
+        shared-memory export flattens it once for every worker process, and
+        the batch TED* kernel pre-compiles from the same layout.
 
         Unlike :meth:`entries`, this *streams*: resident shards are read
         without touching their recency, and non-resident shards are decoded

@@ -266,14 +266,14 @@ class TreeStore:
     def packed_parent_arrays(self) -> List[List[int]]:
         """Return every entry's parent array, in build order.
 
-        This is the store's wire format for worker processes: the matrix
-        builder ships it once per worker through the process-pool
-        initializer, after which chunks of bare ``(i, j)`` index pairs are
-        enough to name any pair of trees — the zero-copy alternative to
-        serializing parent arrays into every chunk.
+        This is the store's wire format for worker processes:
+        :func:`repro.serving.shm.export_store` flattens it once into shared
+        memory, after which a bare entry index names a tree in every worker
+        — the zero-copy alternative to serializing parent arrays into every
+        block.
 
         The packing is memoized (entries are immutable), so one run that
-        both warms a process pool and pre-compiles the batch TED* kernel
+        both exports the store and pre-compiles the batch TED* kernel
         walks every tree once, not once per consumer.  The outer list is a
         fresh copy per call; the inner arrays are shared and must be
         treated as read-only.

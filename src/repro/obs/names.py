@@ -25,11 +25,10 @@ METRIC_NAMES = frozenset(
         "batch.deduplicated_plans",
         "batch.plans",
         "batch.ticks",
-        # matrix executors
+        # matrix exact blocks and the worker pool's restarts
         "executor.chunk_seconds",
         "executor.chunks",
         "executor.pool_restarts",
-        "executor.serial_fallbacks",
         # resilience layer
         "resilience.breaker_reopens",
         "resilience.breaker_trips",
@@ -57,6 +56,7 @@ METRIC_NAMES = frozenset(
         "serving.dispatch_seconds",
         "serving.queue_depth",
         "serving.queue_depth_hwm",
+        "serving.rejected_bodies",
         "serving.request_plans",
         "serving.request_seconds",
         "serving.requests",
@@ -84,7 +84,6 @@ METRIC_NAMES = frozenset(
 #: canonical (the suffix carries a runtime dimension — a site, a worker pid,
 #: a plan kind, a breaker name, a degradation rung).
 METRIC_PREFIXES = (
-    "executor.worker.",
     "resilience.breaker_state.",
     "resilience.degrades.",
     "resilience.faults_injected.",

@@ -21,7 +21,6 @@ from repro.exceptions import (
 )
 from repro.resilience.faults import (
     FAULT_KINDS,
-    FAULT_SITES,
     SITES,
     FaultPlan,
     FaultSpec,
@@ -49,7 +48,6 @@ __all__ = [
     "DeadlineError",
     "DEFAULT_POLICY",
     "FAULT_KINDS",
-    "FAULT_SITES",
     "FaultInjectedError",
     "FaultPlan",
     "FaultSpec",

@@ -12,8 +12,9 @@ site                      where it fires
                           (:meth:`BoundedNedDistance.load_cache` /
                           ``warm_from``)
 ``"sidecar.save"``        writing a sidecar (:meth:`save_cache`)
-``"executor.dispatch"``   process-pool chunk dispatch in
-                          :mod:`repro.engine.matrix` (worker death)
+``"executor.dispatch"``   an exact block sent to the shared-memory worker
+                          pool (:class:`~repro.serving.workers.SharedWorkerPool`;
+                          worker death)
 ``"kernel.batch"``        the array-native ``ted_star_block`` exact tier
 ``"kernel.pair"``         a per-pair exact TED* evaluation
 ``"serving.tick"``        a :class:`SessionServer` batch tick
@@ -73,15 +74,12 @@ SITES = (
     "io.replace",
 )
 
-#: Backward-compatible alias for :data:`SITES`.
-FAULT_SITES = SITES
-
 
 class ResilienceWarning(UserWarning):
     """Warning category for degradations the engine survives.
 
-    Emitted when a fallback preserves availability at some cost — serial
-    matrix fallback after pool death, a cold session start over a broken
+    Emitted when a fallback preserves availability at some cost — local
+    exact blocks after worker-pool death, a cold session start over a broken
     sidecar, a breaker-driven backend degrade — so operators see *that* and
     *why* the engine degraded without the run failing.
     """

@@ -11,9 +11,10 @@ split that removes those N per-process copies:
   cache and the batch-tick loop;
 * the store's packed parent arrays are exported **once** into
   :mod:`multiprocessing.shared_memory` (:mod:`repro.serving.shm`), and N
-  worker processes reconstruct numpy views zero-copy
+  worker processes read it zero-copy through int64 ``memoryview`` casts
   (:mod:`repro.serving.workers`) to evaluate exact TED* blocks — one
-  resident copy of the data, no per-worker pickles;
+  resident copy of the data, no per-worker pickles (``executor="process"``
+  matrix builds run on the same pool);
 * clients speak a small HTTP/JSON protocol
   (:mod:`repro.serving.protocol`, :class:`~repro.serving.client.
   NedServiceClient`) whose wire schema is the session's frozen plan
@@ -31,9 +32,8 @@ split that removes those N per-process copies:
   :class:`~repro.obs.MetricsRegistry`, folded into the ``/v1/telemetry``
   endpoint with :func:`repro.obs.merge_snapshots`.
 
-The package's import surface stays stdlib-only; numpy is required only by
-the shared-memory path (``workers > 0``), which is gated by
-:func:`repro.serving.shm.shm_available`.
+The package is stdlib-only, shared-memory workers included; numpy and
+SciPy only speed the workers up (the batch TED* kernel) when importable.
 """
 
 from repro.serving.protocol import (
@@ -59,12 +59,11 @@ __all__ = [
     "AttachedStore",
     "SharedWorkerPool",
     "export_store",
-    "shm_available",
 ]
 
 #: Lazily resolved exports: the server/client pull in http.server /
 #: http.client and the engine session machinery, the shm/worker surface
-#: pulls in numpy gating; importing repro.serving for the protocol tables
+#: pulls in multiprocessing; importing repro.serving for the protocol tables
 #: alone (e.g. from the linter) must stay cheap.
 _LAZY_EXPORTS = {
     "NedServiceServer": ("repro.serving.server", "NedServiceServer"),
@@ -72,7 +71,6 @@ _LAZY_EXPORTS = {
     "AttachedStore": ("repro.serving.shm", "AttachedStore"),
     "SharedWorkerPool": ("repro.serving.workers", "SharedWorkerPool"),
     "export_store": ("repro.serving.shm", "export_store"),
-    "shm_available": ("repro.serving.shm", "shm_available"),
 }
 
 

@@ -71,6 +71,10 @@ from repro.utils.timer import clock
 #: What the status endpoint reports while the server accepts requests.
 STATUS_SERVING = "serving"
 
+#: Largest request body the service reads.  A longer declared
+#: ``Content-Length`` is answered with 413 before any of the body is read.
+MAX_REQUEST_BYTES = 8 * 1024 * 1024
+
 
 class _HTTPServer(ThreadingHTTPServer):
     """The service's HTTP front: daemonic per-connection threads.
@@ -98,7 +102,7 @@ class NedServiceServer:
         :attr:`port` after :meth:`start`).
     workers:
         Shared-memory worker processes for the exact tier; ``0`` serves
-        single-process (no numpy required).
+        single-process.
     max_batch:
         Tick sizing for the underlying :class:`SessionServer`:
         ``"adaptive"`` (default), a fixed int, an
@@ -151,6 +155,7 @@ class NedServiceServer:
                 backend=session.resolver.matching_backend,
                 metrics=session.metrics,
                 min_pairs=min_pairs if min_pairs is not None else DEFAULT_MIN_PAIRS,
+                faults=session.faults,
             )
             session.attach_block_dispatcher(self._pool)
         #: Per-tenant request registries (tenant -> MetricsRegistry).
@@ -372,6 +377,13 @@ def _make_handler(service: NedServiceServer):
             self.end_headers()
             self.wfile.write(body)
 
+        def _reject(self, status: int, message: str) -> None:
+            # Refused before decoding.  After a bad or oversized length the
+            # body is still unread, so the connection cannot be reused.
+            service.session.metrics.inc("serving.rejected_bodies")
+            self.close_connection = True
+            self._send(status, encode_error_response(WireFormatError(message)))
+
         def do_POST(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
             if self.path != PATH_PLANS:
                 self._send(
@@ -381,17 +393,30 @@ def _make_handler(service: NedServiceServer):
                     ),
                 )
                 return
-            length = int(self.headers.get("Content-Length") or 0)
+            declared = self.headers.get("Content-Length") or "0"
+            try:
+                length = int(declared)
+            except ValueError:
+                length = -1
+            if length < 0:
+                self._reject(
+                    400,
+                    "Content-Length must be a non-negative integer, "
+                    f"got {declared!r}",
+                )
+                return
+            if length > MAX_REQUEST_BYTES:
+                self._reject(
+                    413,
+                    f"request body of {length} bytes exceeds the "
+                    f"{MAX_REQUEST_BYTES}-byte limit",
+                )
+                return
             raw = self.rfile.read(length)
             try:
                 payload = json.loads(raw)
             except json.JSONDecodeError as error:
-                self._send(
-                    400,
-                    encode_error_response(
-                        WireFormatError(f"request body is not valid JSON: {error}")
-                    ),
-                )
+                self._reject(400, f"request body is not valid JSON: {error}")
                 return
             status, response = service.handle_plans(payload)
             self._send(status, response)

@@ -11,8 +11,9 @@ flattens all of them into **one** shared-memory segment —
 
 — where entry ``i``'s parent array is ``values[offsets[i]:offsets[i+1]]``.
 The server exports once; each worker attaches the segment by name and
-reconstructs numpy views in place (:class:`AttachedStore`), so N workers
-share one resident copy of the store instead of decoding N pickles.  The
+reads it through a stdlib ``memoryview`` cast to int64 in place
+(:class:`AttachedStore`), so N workers share one resident copy of the
+store instead of decoding N pickles.  The
 acceptance check for "attached, not copied" is the store's own
 ``shards.stream_decodes`` counter: exporting a sharded store costs exactly
 one streaming pass, and workers perform zero decodes.
@@ -29,35 +30,21 @@ leaked segment survives the test run in ``/dev/shm``:
   attachment from tracking (Python 3.13+ has ``track=False`` for the same
   purpose; we fall back to unregistering on older runtimes).
 
-Everything here is gated on numpy (:func:`shm_available`); the serving
-package imports without it and the server simply refuses ``workers > 0``.
+Everything here is stdlib (``multiprocessing.shared_memory``, ``array``
+and ``memoryview``), so the worker path runs without numpy.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.exceptions import DistanceError
 
-try:  # gate, don't require: tier-1 environments may lack numpy
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    _np = None
-
-
-def shm_available() -> bool:
-    """True when numpy (and hence the zero-copy worker path) is usable."""
-    return _np is not None
-
-
-def _require_numpy():
-    if _np is None:
-        raise DistanceError(
-            "the shared-memory store path needs numpy; run the server with "
-            "workers=0 or install numpy"
-        )
-    return _np
+#: ``memoryview``/``array`` format code of the segment's int64 words.
+_WORD = "q"
+_WORD_BYTES = 8
 
 
 @dataclass(frozen=True)
@@ -129,24 +116,21 @@ def export_store(store, metrics=None) -> StoreExport:
     ``serving.shm_exports`` and ``serving.shm_export_bytes`` into
     ``metrics`` when given.
     """
-    np = _require_numpy()
     from multiprocessing import shared_memory
 
     packed = store.packed_parent_arrays()
     signatures = tuple(store.packed_signatures())
-    offsets = np.zeros(len(packed) + 1, dtype=np.int64)
-    for index, parents in enumerate(packed):
-        offsets[index + 1] = offsets[index] + len(parents)
-    total = int(offsets[-1])
-    nbytes = max(1, (len(offsets) + total) * 8)
+    words = array(_WORD, [0])
+    for parents in packed:
+        words.append(words[-1] + len(parents))
+    total = words[-1]
+    for parents in packed:
+        words.extend(parents)
+    nbytes = max(_WORD_BYTES, len(words) * _WORD_BYTES)
     shm = shared_memory.SharedMemory(create=True, size=nbytes)
-    offsets_view = np.ndarray(len(offsets), dtype=np.int64, buffer=shm.buf)
-    values_view = np.ndarray(
-        total, dtype=np.int64, buffer=shm.buf, offset=len(offsets) * 8
-    )
-    offsets_view[:] = offsets
-    for index, parents in enumerate(packed):
-        values_view[offsets[index]:offsets[index + 1]] = parents
+    view = _words(shm, len(words))
+    view[:] = words
+    view.release()
     handle = StoreHandle(
         name=shm.name,
         entry_count=len(packed),
@@ -158,6 +142,15 @@ def export_store(store, metrics=None) -> StoreExport:
         metrics.inc("serving.shm_exports")
         metrics.inc("serving.shm_export_bytes", nbytes)
     return StoreExport(shm, handle)
+
+
+def _words(shm, count: int) -> memoryview:
+    """The first ``count`` int64 words of a segment, as a writable view.
+
+    The caller must ``release()`` it before the segment closes: a live view
+    is an exported pointer, and ``SharedMemory.close`` refuses those.
+    """
+    return shm.buf[:count * _WORD_BYTES].cast(_WORD)
 
 
 def _attach_untracked(name: str):
@@ -185,24 +178,16 @@ def _attach_untracked(name: str):
 class AttachedStore:
     """A worker-side zero-copy view of an exported store.
 
-    Reconstructs the offsets/values numpy views over the attached buffer —
-    no decode, no copy — and serves parent arrays by entry index.  Close
-    detaches (never unlinks; the server's :class:`StoreExport` owns that).
+    Casts the attached buffer to one int64 ``memoryview`` — no decode, no
+    copy — and serves parent arrays by entry index.  Close detaches (never
+    unlinks; the server's :class:`StoreExport` owns that).
     """
 
     def __init__(self, handle: StoreHandle) -> None:
-        np = _require_numpy()
         self.handle = handle
         self._shm = _attach_untracked(handle.name)
-        self._offsets = np.ndarray(
-            handle.entry_count + 1, dtype=np.int64, buffer=self._shm.buf
-        )
-        self._values = np.ndarray(
-            handle.values_length,
-            dtype=np.int64,
-            buffer=self._shm.buf,
-            offset=(handle.entry_count + 1) * 8,
-        )
+        self._base = handle.entry_count + 1
+        self._view = _words(self._shm, self._base + handle.values_length)
         self._closed = False
 
     def __len__(self) -> int:
@@ -218,9 +203,9 @@ class AttachedStore:
             raise DistanceError(
                 f"store index {index} out of range [0, {self.handle.entry_count})"
             )
-        start = int(self._offsets[index])
-        stop = int(self._offsets[index + 1])
-        return self._values[start:stop].tolist()
+        start = self._base + self._view[index]
+        stop = self._base + self._view[index + 1]
+        return self._view[start:stop].tolist()
 
     def signature(self, index: int) -> str:
         """Entry ``index``'s canonical signature (for validation/memo keys)."""
@@ -231,8 +216,7 @@ class AttachedStore:
         if self._closed:
             return
         self._closed = True
-        # The views alias shm.buf; drop them first or close() raises
+        # The view aliases shm.buf; release it first or close() raises
         # BufferError for exported pointers.
-        self._offsets = None
-        self._values = None
+        self._view.release()
         self._shm.close()

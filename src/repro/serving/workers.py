@@ -1,26 +1,30 @@
-"""The serving worker pool: exact TED* blocks against the shared store.
+"""The shared-memory worker pool: exact TED* blocks against one exported store.
 
 One :class:`SharedWorkerPool` owns N worker processes.  Each worker's
-initializer attaches the server's exported store segment
-(:class:`repro.serving.shm.AttachedStore`) — a zero-copy numpy view, **no
+initializer attaches an exported store segment
+(:class:`repro.serving.shm.AttachedStore`) — a zero-copy int64 view, **no
 per-worker pickle of the store and zero shard re-decodes** — and keeps a
 lazy per-index cache of reconstructed :class:`~repro.trees.tree.Tree`
-objects plus its own array-native batch kernel.
+objects plus, for scipy-compatible backends, its own array-native batch
+kernel.
 
 The pool *is* a block dispatcher (see
-:meth:`repro.ted.resolver.BoundedNedDistance.attach_block_dispatcher`):
-calling it with an ``exact_many`` pair block either returns the values —
+:meth:`repro.ted.resolver.BoundedNedDistance.attach_block_dispatcher`), and
+the only one: the NED service attaches it for its lifetime, and a
+``executor="process"`` matrix build attaches one for the build's duration.
+Calling it with an ``exact_many`` pair block either returns the values —
 computed by splitting the block across the workers, each sub-block shipped
 as bare ``(ref, ref)`` pairs where a ref is a store index (int) or a probe
 parent array (list) — or returns ``None`` to decline, which sends the
 block down the resolver's local path unchanged.  Declines happen for
 blocks too small to amortise IPC (``min_pairs``) and permanently once the
-pool breaks (a crashed worker degrades the service to local evaluation; it
-never takes it down).  Values are bit-identical either way: workers run
-the same batch kernel / scipy matching the local path realises.
+pool fails (a crashed worker degrades the caller to local evaluation; it
+never takes it down).  A ``restarts`` budget first replaces a broken pool
+with a fresh one.  Values are bit-identical either way: workers run the
+same batch kernel / per-pair matching the local path realises.
 
-Worker telemetry follows the matrix executor's export/fold protocol: each
-block times itself into a throwaway :class:`~repro.obs.MetricsRegistry`
+Worker telemetry is exported and folded: each block times itself into a
+throwaway :class:`~repro.obs.MetricsRegistry`
 (``serving.worker_block_seconds``, per-pid ``serving.worker.<pid>.blocks``)
 and ships the snapshot back for the parent to
 :meth:`~repro.obs.MetricsRegistry.merge`.
@@ -30,12 +34,14 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
+import warnings
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.exceptions import DeadlineError, DistanceError, OverloadError
 from repro.obs import MetricsRegistry
-from repro.serving.shm import AttachedStore, StoreHandle
+from repro.resilience.faults import ResilienceWarning
+from repro.serving.shm import AttachedStore, StoreHandle, export_store
 from repro.utils.timer import clock
 
 #: A wire ref naming one tree in a dispatched pair: a store entry index, or
@@ -66,8 +72,12 @@ class _WorkerStore:
         self.backend = backend
         self._entries: Dict[int, _IndexedEntry] = {}
         from repro.ted.batch import BatchTedKernel, batch_available
+        from repro.ted.resolver import KERNEL_BACKENDS
 
-        self.kernel = BatchTedKernel() if batch_available() else None
+        # The kernel realises scipy's matching; any other backend (e.g.
+        # hungarian) must keep its own tie-breaks, pair by pair.
+        usable = backend in KERNEL_BACKENDS and batch_available()
+        self.kernel = BatchTedKernel() if usable else None
 
     def resolve(self, ref: Ref):
         """Materialize one wire ref into what the kernel consumes."""
@@ -86,8 +96,7 @@ class _WorkerStore:
 
 
 # Installed by _init_worker; module-global because process pool initializers
-# cannot return values to the tasks they precede (same idiom as
-# repro.engine.matrix).
+# cannot return values to the tasks they precede.
 _WORKER_STATE: Dict[str, object] = {}
 
 
@@ -112,7 +121,7 @@ def _evaluate_block(
     pairs = [(state.resolve(a), state.resolve(b)) for a, b in block]
     if state.kernel is not None:
         values = state.kernel.ted_star_block(pairs, k=state.k)
-    else:  # pragma: no cover - only without numpy/SciPy
+    else:
         from repro.ted.ted_star import ted_star
 
         values = [
@@ -133,12 +142,15 @@ class SharedWorkerPool:
     Parameters
     ----------
     handle:
-        The :class:`~repro.serving.shm.StoreHandle` of the exported store.
+        The :class:`~repro.serving.shm.StoreHandle` of an exported store,
+        or ``None`` to have the pool export ``store`` itself at first use
+        and unlink that segment in :meth:`close`.
     store:
-        The server-side store the handle was exported from — used only to
-        map dispatched :class:`~repro.engine.tree_store.StoredTree` objects
-        back to their entry index (validated by signature; a mismatch ships
-        the probe's parent array instead of trusting the index).
+        The parent-side store the handle was (or will be) exported from —
+        used to map dispatched :class:`~repro.engine.tree_store.StoredTree`
+        objects back to their entry index (validated by signature; a
+        mismatch ships the probe's parent array instead of trusting the
+        index).
     workers:
         Process count (>= 1).
     backend:
@@ -149,16 +161,25 @@ class SharedWorkerPool:
         snapshots.
     min_pairs:
         Blocks smaller than this are declined (local evaluation).
+    restarts:
+        How many times a pool that breaks (:class:`BrokenExecutor`) is
+        replaced by a fresh one before the pool gives up.  A restart forks,
+        so multi-threaded callers (the NED service) keep the default 0.
+    faults:
+        A :class:`repro.resilience.FaultPlan`; activates the
+        ``"executor.dispatch"`` site once per dispatched block.
     """
 
     def __init__(
         self,
-        handle: StoreHandle,
+        handle: Optional[StoreHandle],
         store,
         workers: int,
-        backend: str = "scipy",
+        backend: str = "auto",
         metrics: Optional[MetricsRegistry] = None,
         min_pairs: int = DEFAULT_MIN_PAIRS,
+        restarts: int = 0,
+        faults=None,
     ) -> None:
         if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
             raise DistanceError(f"workers must be a positive int, got {workers!r}")
@@ -169,25 +190,38 @@ class SharedWorkerPool:
         self.backend = backend
         self.metrics = metrics
         self.min_pairs = min_pairs
+        self.restarts = restarts
+        self.faults = faults
+        #: The error that made the pool give up (``None`` while healthy).
+        self.failure: Optional[BaseException] = None
+        self._store = store
         self._index_by_node = {
             node: index for index, node in enumerate(store.nodes())
         }
-        self._signatures = handle.signatures
-        self._pool = ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_init_worker,
-            initargs=(handle, backend),
-        )
-        self._broken = False
+        self._export = None
+        self._pool: Optional[ProcessPoolExecutor] = None
         self._closed = False
 
     # ----------------------------------------------------------- dispatching
+    def _executor(self) -> ProcessPoolExecutor:
+        """The live process pool; exports the store and forks on first use."""
+        if self.handle is None:
+            self._export = export_store(self._store, metrics=self.metrics)
+            self.handle = self._export.handle
+        if self._pool is None:
+            self._pool = ProcessPoolExecutor(
+                max_workers=self.workers,
+                initializer=_init_worker,
+                initargs=(self.handle, self.backend),
+            )
+        return self._pool
+
     def _ref(self, item) -> Ref:
         """Map one pair element to its wire ref (index, or probe parents)."""
         node = getattr(item, "node", None)
         if node is not None:
             index = self._index_by_node.get(node)
-            if index is not None and self._signatures[index] == getattr(
+            if index is not None and self.handle.signatures[index] == getattr(
                 item, "signature", None
             ):
                 return index
@@ -209,30 +243,38 @@ class SharedWorkerPool:
         """The dispatcher contract: values, or ``None`` to decline.
 
         Service-protection errors (:class:`~repro.exceptions.DeadlineError`,
-        :class:`~repro.exceptions.OverloadError`) propagate; any other pool
-        failure marks the pool broken, counts a
-        ``serving.dispatch_fallbacks`` and declines this and every later
-        block — the resolver's local path keeps serving bit-identical
+        :class:`~repro.exceptions.OverloadError`) propagate.  A broken pool
+        is restarted while the ``restarts`` budget lasts (the block is then
+        dispatched again); any other failure marks the pool failed, counts
+        one ``serving.dispatch_fallbacks`` and declines this and every later
+        block — the resolver's local path keeps computing bit-identical
         values.
         """
-        if self._broken or self._closed or len(pairs) < self.min_pairs:
+        if self.failure is not None or self._closed or len(pairs) < self.min_pairs:
             return None
-        refs = [(self._ref(a), self._ref(b)) for a, b in pairs]
         metrics = self.metrics
         started = clock() if metrics is not None else 0.0
-        try:
-            futures = [
-                self._pool.submit(_evaluate_block, chunk)
-                for chunk in self._split(refs)
-            ]
-            outcomes = [future.result() for future in futures]
-        except (DeadlineError, OverloadError):
-            raise
-        except Exception:
-            self._broken = True
-            if metrics is not None:
-                metrics.inc("serving.dispatch_fallbacks")
-            return None
+        while True:
+            try:
+                pool = self._executor()
+                if self.faults is not None:
+                    # "kill" specs raise BrokenExecutor here, the same
+                    # parent-side shape a dead worker produces.
+                    self.faults.fire("executor.dispatch", kill_error=BrokenExecutor)
+                refs = [(self._ref(a), self._ref(b)) for a, b in pairs]
+                futures = [
+                    pool.submit(_evaluate_block, chunk) for chunk in self._split(refs)
+                ]
+                outcomes = [future.result() for future in futures]
+                break
+            except (DeadlineError, OverloadError):
+                raise
+            except Exception as error:
+                if isinstance(error, BrokenExecutor) and self.restarts > 0:
+                    self._restart(error)
+                    continue
+                self._fail(error)
+                return None
         values: List[float] = []
         for chunk_values, snapshot in outcomes:
             values.extend(chunk_values)
@@ -243,6 +285,33 @@ class SharedWorkerPool:
             metrics.inc("serving.dispatch_blocks")
             metrics.inc("serving.dispatch_pairs", len(pairs))
         return values
+
+    def _restart(self, error: BaseException) -> None:
+        """Spend one restart: drop the broken pool; the next use forks anew."""
+        self.restarts -= 1
+        if self.metrics is not None:
+            self.metrics.inc("executor.pool_restarts")
+            self.metrics.inc("resilience.retries.executor.dispatch")
+        warnings.warn(
+            f"worker pool broke ({type(error).__name__}: {error}); "
+            "restarting it",
+            ResilienceWarning,
+            stacklevel=3,
+        )
+        self._pool.shutdown(wait=True, cancel_futures=True)
+        self._pool = None
+
+    def _fail(self, error: BaseException) -> None:
+        """Give up on the pool: count, warn, decline every later block."""
+        self.failure = error
+        if self.metrics is not None:
+            self.metrics.inc("serving.dispatch_fallbacks")
+        warnings.warn(
+            f"worker pool failed ({type(error).__name__}: {error}); exact "
+            "blocks are evaluated locally from now on",
+            ResilienceWarning,
+            stacklevel=3,
+        )
 
     def warm(self, delay: float = 0.2) -> int:
         """Fork every worker process now; returns the distinct-pid count.
@@ -258,16 +327,13 @@ class SharedWorkerPool:
         spawn a fresh process for each submission.
         """
         try:
-            futures = [
-                self._pool.submit(_warm_worker, delay) for _ in range(self.workers)
-            ]
+            pool = self._executor()
+            futures = [pool.submit(_warm_worker, delay) for _ in range(self.workers)]
             pids = {future.result() for future in futures}
         except (DeadlineError, OverloadError):
             raise
-        except Exception:
-            self._broken = True
-            if self.metrics is not None:
-                self.metrics.inc("serving.dispatch_fallbacks")
+        except Exception as error:
+            self._fail(error)
             return 0
         return len(pids)
 
@@ -275,7 +341,7 @@ class SharedWorkerPool:
     @property
     def broken(self) -> bool:
         """True once a pool failure degraded dispatch to local evaluation."""
-        return self._broken
+        return self.failure is not None
 
     def __enter__(self) -> "SharedWorkerPool":
         return self
@@ -286,11 +352,15 @@ class SharedWorkerPool:
     def close(self) -> None:
         """Shut the worker processes down (idempotent).
 
-        Only the processes: the shared segment belongs to the server's
-        :class:`~repro.serving.shm.StoreExport`, which unlinks it exactly
-        once in its own close — including when this pool died first.
+        A segment the pool exported itself is unlinked here too; a handle
+        passed in belongs to its exporter (the server's
+        :class:`~repro.serving.shm.StoreExport` unlinks it exactly once in
+        its own close — including when this pool died first).
         """
         if self._closed:
             return
         self._closed = True
-        self._pool.shutdown(wait=True, cancel_futures=True)
+        if self._pool is not None:
+            self._pool.shutdown(wait=True, cancel_futures=True)
+        if self._export is not None:
+            self._export.close()

@@ -80,6 +80,9 @@ NO_TIER = "none"
 #: ``backend="scipy"``, so it shares scipy's matching semantics everywhere a
 #: backend string selects tie-break behaviour.
 BATCH_BACKEND = "batch"
+#: Backends whose values the batch kernel realises bit for bit (scipy's
+#: matching semantics); any other backend must stay on per-pair TED*.
+KERNEL_BACKENDS = ("auto", "scipy", BATCH_BACKEND)
 
 #: Cheap tiers, in cascade order (exact is always the implicit last resort).
 BOUND_TIERS = (SIGNATURE_TIER, LEVEL_SIZE_TIER, DEGREE_TIER)
@@ -339,7 +342,7 @@ class BoundedNedDistance:
                 )
             self._batch_kernel = None
             return False
-        if self.backend not in ("auto", "scipy", BATCH_BACKEND):
+        if self.backend not in KERNEL_BACKENDS:
             return False
         from repro.ted.batch import batch_available
 
@@ -363,6 +366,11 @@ class BoundedNedDistance:
         ``None`` to detach.
         """
         self._block_dispatcher = dispatcher
+
+    @property
+    def block_dispatcher(self):
+        """The attached block dispatcher, or ``None``."""
+        return self._block_dispatcher
 
     # -------------------------------------------------------------- resilience
     def attach_resilience(
@@ -489,7 +497,7 @@ class BoundedNedDistance:
 
         No cache lookups, no counters — this is the block-shaped equivalent
         of calling ``ted_star`` directly; callers own the bookkeeping (as
-        the matrix builder does).  With a batch kernel attached the whole
+        :meth:`resolve_many` does).  With a batch kernel attached the whole
         block goes through the array-native path (latency recorded in the
         ``resolver.exact_batch_seconds`` histogram); otherwise it degrades
         to a per-pair loop on :attr:`matching_backend`.  Under an attached
@@ -542,6 +550,8 @@ class BoundedNedDistance:
         pairs: Sequence[Tuple[object, object]],
         threshold: Optional[float] = None,
         bounds: bool = True,
+        block_size: Optional[int] = None,
+        evaluate=None,
     ) -> List[Tuple[Optional[float], ResolutionInterval]]:
         """Run the cascade over a block of pairs, batching the exact tier.
 
@@ -551,9 +561,11 @@ class BoundedNedDistance:
         cache key repeats *within the block* are deduplicated — the first
         occurrence pays the exact evaluation and followers are counted as
         cache hits, exactly as they would be had the pairs been resolved
-        sequentially.  The surviving distinct pairs are evaluated as one
-        block via :meth:`exact_many`, which is where an attached batch
-        kernel pays off.
+        sequentially.  The surviving distinct pairs are evaluated in blocks
+        of at most ``block_size`` pairs (default: one block) via
+        :meth:`exact_many`, which is where an attached batch kernel or block
+        dispatcher pays off; ``evaluate`` stands in for :meth:`exact_many`
+        as the block evaluator (the matrix builder passes a timed wrapper).
         """
         results: List[Optional[float]] = [None] * len(pairs)
         intervals: List[Optional[ResolutionInterval]] = [None] * len(pairs)
@@ -593,7 +605,12 @@ class BoundedNedDistance:
             pending.append(index)
             pending_keys.append(key)
         if pending:
-            values = self.exact_many([pairs[index] for index in pending])
+            evaluate = self.exact_many if evaluate is None else evaluate
+            todo = [pairs[index] for index in pending]
+            step = block_size or len(todo)
+            values: List[float] = []
+            for offset in range(0, len(todo), step):
+                values.extend(evaluate(todo[offset:offset + step]))
             self.counters.exact_evaluations += len(pending)
             for slot, index in enumerate(pending):
                 value = values[slot]

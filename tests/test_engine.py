@@ -20,6 +20,7 @@ from repro.engine import (
     cross_distance_matrix,
     pairwise_distance_matrix,
 )
+from repro.engine.session import NedSession
 from repro.exceptions import DistanceError, GraphError, IndexingError
 from repro.graph.generators import (
     barabasi_albert_graph,
@@ -27,6 +28,8 @@ from repro.graph.generators import (
     grid_road_graph,
 )
 from repro.graph.graph import DiGraph
+from repro.resilience import FaultPlan, FaultSpec, ResilienceWarning
+from repro.ted.resolver import BoundedNedDistance
 
 
 @pytest.fixture(scope="module")
@@ -277,27 +280,31 @@ class TestDistanceMatrix:
         with pytest.raises(DistanceError):
             pairwise_distance_matrix(ba_store, mode="bound-prune", threshold=-1.0)
 
-    def test_custom_executor_callable(self, deep_store):
-        calls = []
-
-        def executor(chunks):
-            calls.append(len(chunks))
-            from repro.engine.matrix import _compute_chunk
-
-            return [_compute_chunk(chunk) for chunk in chunks]
-
-        matrix = pairwise_distance_matrix(deep_store, executor=executor, chunk_size=200)
-        assert calls and matrix.executor == "executor"
-        assert matrix.values == pairwise_distance_matrix(deep_store).values
+    def test_custom_executor_callable_rejected(self, deep_store):
+        # Exact blocks have one route (resolve_many -> exact_many -> worker
+        # pool or local kernel); there is no callable-executor contract.
+        with pytest.raises(DistanceError, match="executor"):
+            pairwise_distance_matrix(deep_store, executor=lambda blocks: [])
+        with pytest.raises(DistanceError, match="executor"):
+            pairwise_distance_matrix(
+                deep_store,
+                executor=lambda blocks: [],
+                resolver=BoundedNedDistance(k=deep_store.k),
+            )
 
     def test_broken_pool_falls_back_to_serial(self, deep_store):
-        from concurrent.futures.process import BrokenProcessPool
-
-        def dying_pool(chunks):
-            raise BrokenProcessPool("workers were killed")
-
-        matrix = pairwise_distance_matrix(deep_store, executor=dying_pool)
-        assert matrix.executor_used.startswith("serial (fallback:")
+        # No retry budget: the first killed block makes the pool give up,
+        # and the whole build runs locally.
+        plan = FaultPlan([FaultSpec("executor.dispatch", kind="kill")])
+        with NedSession(
+            deep_store, executor="process", max_workers=2, faults=plan,
+            resilience=False,
+        ) as session:
+            with pytest.warns(ResilienceWarning, match="evaluated locally"):
+                matrix = session.pairwise_matrix()
+            fallbacks = session.metrics_snapshot()["resilience"]["serial_fallbacks"]
+        assert matrix.executor_used == "serial (fallback: BrokenExecutor)"
+        assert fallbacks == 1
         assert matrix.values == pairwise_distance_matrix(deep_store).values
 
 
@@ -655,15 +662,17 @@ class TestMatrixResultLookups:
 
 class TestZeroCopyProcessExecutor:
     def test_worker_initializer_round_trip(self, ba_store):
-        from repro.engine.matrix import _compute_index_chunk, _init_worker
+        from repro.serving import workers
+        from repro.serving.shm import export_store
 
-        payload = ba_store.packed_parent_arrays()
-        assert len(payload) == len(ba_store)
-        _init_worker(payload, None, ba_store.k, "auto")
+        with export_store(ba_store) as export:
+            workers._init_worker(export.handle, "auto")
+            try:
+                values, _ = workers._evaluate_block([(0, 5), (2, 9)])
+            finally:
+                workers._WORKER_STATE.pop("store").attached.close()
         entries = ba_store.entries()
-        pairs = [(0, 5), (2, 9)]
-        values = _compute_index_chunk(pairs)
-        for (i, j), value in zip(pairs, values):
+        for (i, j), value in zip([(0, 5), (2, 9)], values):
             assert value == ned_from_trees(entries[i].tree, entries[j].tree, ba_store.k)
 
     def test_cross_matrix_process_matches_serial(self):
@@ -679,70 +688,62 @@ class TestZeroCopyProcessExecutor:
 
 
 class TestIncrementalFallback:
-    """PR-3 satellite: a pool that breaks mid-run only re-runs unyielded chunks."""
+    """A pool that breaks mid-build: only blocks not yet returned run locally."""
 
-    def _flaky_executor(self, yield_chunks):
-        from concurrent.futures import BrokenExecutor
+    CHUNK = 100
 
-        from repro.trees.tree import Tree as TreeClass
+    def _killed_build(self, store, after, monkeypatch):
+        """A process build whose pool dies at block ``after``; no restarts.
 
-        def executor(chunks):
-            def generate():
-                for index, (k, backend, pairs) in enumerate(chunks):
-                    if index == yield_chunks:
-                        raise BrokenExecutor("workers died mid-run")
-                    yield [
-                        ned_from_trees(TreeClass(a), TreeClass(b), k)
-                        for a, b in pairs
-                    ]
+        ``batch=False`` keeps the parent's local exact tier per pair, so
+        counting ``ted_star`` calls in the resolver counts exactly the
+        pairs recomputed locally (workers evaluate in their own processes).
+        """
+        import repro.ted.resolver as resolver_module
 
-            return generate()
-
-        return executor
-
-    def test_only_remaining_chunks_recomputed(self, deep_store, monkeypatch):
-        import repro.engine.matrix as matrix_module
-
-        real_ted_star = matrix_module.ted_star
-        fallback_calls = {"count": 0}
+        real_ted_star = resolver_module.ted_star
+        local_calls = {"count": 0}
 
         def counting_ted_star(*args, **kwargs):
-            fallback_calls["count"] += 1
+            local_calls["count"] += 1
             return real_ted_star(*args, **kwargs)
 
-        monkeypatch.setattr(matrix_module, "ted_star", counting_ted_star)
-        chunk_size = 100
-        yield_chunks = 2
-        total_pairs = len(deep_store) * (len(deep_store) - 1) // 2
-        result = pairwise_distance_matrix(
-            deep_store,
-            executor=self._flaky_executor(yield_chunks),
-            chunk_size=chunk_size,
-            cache_size=0,
+        monkeypatch.setattr(resolver_module, "ted_star", counting_ted_star)
+        plan = FaultPlan(
+            [FaultSpec("executor.dispatch", kind="kill", after=after)]
         )
-        assert result.executor_used.startswith("serial (fallback:")
-        # Exactly the pairs of the unyielded chunks were recomputed serially.
-        assert fallback_calls["count"] == total_pairs - yield_chunks * chunk_size
+        with NedSession(
+            store, executor="process", max_workers=2, cache_size=0,
+            batch=False, resilience=False, faults=plan,
+        ) as session:
+            with pytest.warns(ResilienceWarning):
+                result = session.pairwise_matrix(chunk_size=self.CHUNK)
+            counters = session.metrics_snapshot()["counters"]
+        return result, counters, local_calls["count"]
+
+    def test_only_remaining_chunks_recomputed(self, deep_store, monkeypatch):
+        returned = 2
+        total_pairs = len(deep_store) * (len(deep_store) - 1) // 2
+        result, counters, local = self._killed_build(
+            deep_store, returned, monkeypatch
+        )
+        assert result.executor_used == "serial (fallback: BrokenExecutor)"
+        assert counters["serving.dispatch_blocks"] == returned
+        assert counters["serving.dispatch_fallbacks"] == 1
+        # Exactly the pairs of the blocks the pool never returned.
+        assert local == total_pairs - returned * self.CHUNK
+        assert result.stats.exact_evaluations == total_pairs
         reference = pairwise_distance_matrix(deep_store, cache_size=0)
         assert result.values == reference.values
 
     def test_immediate_break_recomputes_everything(self, deep_store, monkeypatch):
-        import repro.engine.matrix as matrix_module
-
-        real_ted_star = matrix_module.ted_star
-        fallback_calls = {"count": 0}
-
-        def counting_ted_star(*args, **kwargs):
-            fallback_calls["count"] += 1
-            return real_ted_star(*args, **kwargs)
-
-        monkeypatch.setattr(matrix_module, "ted_star", counting_ted_star)
         total_pairs = len(deep_store) * (len(deep_store) - 1) // 2
-        result = pairwise_distance_matrix(
-            deep_store, executor=self._flaky_executor(0), cache_size=0
-        )
-        assert result.executor_used.startswith("serial (fallback:")
-        assert fallback_calls["count"] == total_pairs
+        result, counters, local = self._killed_build(deep_store, 0, monkeypatch)
+        assert result.executor_used == "serial (fallback: BrokenExecutor)"
+        assert counters.get("serving.dispatch_blocks", 0) == 0
+        assert local == total_pairs
+        reference = pairwise_distance_matrix(deep_store, cache_size=0)
+        assert result.values == reference.values
 
 
 class TestMatrixDeanonymization:

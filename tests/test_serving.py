@@ -45,8 +45,8 @@ from repro.exceptions import (
 from repro.graph.generators import grid_road_graph
 from repro.resilience import FaultPlan, FaultSpec
 from repro.serving import protocol
-from repro.serving.shm import shm_available
 from repro.serving.ticks import AdaptiveTicks
+from repro.ted.batch import batch_available
 from repro.trees.adjacent import k_adjacent_tree
 from repro.trees.tree import Tree
 
@@ -58,11 +58,6 @@ K = 4
 #: arrays have at most 8 entries, hence height <= 7, so every generated
 #: probe summarises cleanly at this k.
 K_WIRE = 8
-
-needs_shm = pytest.mark.skipif(
-    not shm_available(), reason="shared-memory workers need numpy"
-)
-
 
 def _probe(graph, node, k=K):
     return summarize_tree(node, k_adjacent_tree(graph, node, k), k)
@@ -303,7 +298,6 @@ def _attach_and_read(handle, index):
         attached.close()
 
 
-@needs_shm
 class TestSharedMemory:
     def test_export_attach_bit_identical(self, demo_store):
         from repro.serving.shm import AttachedStore, export_store
@@ -360,7 +354,6 @@ class TestSharedMemory:
 # ---------------------------------------------------------------------------
 # Worker pool
 # ---------------------------------------------------------------------------
-@needs_shm
 class TestSharedWorkerPool:
     @pytest.fixture()
     def exported(self, demo_store):
@@ -400,6 +393,47 @@ class TestSharedWorkerPool:
         assert session.resolver.exact_many(pairs)  # local path still serves
 
 
+class TestHungarianWorkers:
+    """Workers keep a non-scipy backend's tie-breaks (no batch kernel)."""
+
+    #: PGP stand-in node pairs at k = 4 whose hungarian and scipy TED*
+    #: differ (52/71/65 vs 50/72/63): optimal matchings that tie.
+    PAIRS = ((129, 309), (169, 45), (200, 61))
+
+    @pytest.fixture(scope="class")
+    def pgp_store(self):
+        from repro.datasets.registry import load_dataset
+
+        graph = load_dataset("PGP", scale=0.5)
+        nodes = [node for pair in self.PAIRS for node in pair]
+        return TreeStore.from_graph(graph, 4, nodes=nodes)
+
+    def test_pool_matches_per_pair_hungarian(self, pgp_store):
+        from repro.serving.workers import SharedWorkerPool
+        from repro.ted.ted_star import ted_star
+
+        pairs = [(pgp_store.entry(a), pgp_store.entry(b)) for a, b in self.PAIRS]
+        expected = [
+            ted_star(a.tree, b.tree, k=4, backend="hungarian") for a, b in pairs
+        ]
+        with SharedWorkerPool(
+            None, pgp_store, workers=1, backend="hungarian", min_pairs=1
+        ) as pool:
+            assert pool(pairs) == expected
+
+    def test_process_build_matches_serial_build(self, pgp_store):
+        with NedSession(pgp_store, backend="hungarian") as serial:
+            expected = serial.pairwise_matrix(mode="exact")
+        with NedSession(
+            pgp_store, backend="hungarian", executor="process", max_workers=2
+        ) as session:
+            got = session.pairwise_matrix(mode="exact")
+            counters = session.metrics_snapshot()["counters"]
+        assert counters["serving.dispatch_blocks"] == 1
+        assert got.executor_used == "process"
+        assert got.values == expected.values
+
+
 # ---------------------------------------------------------------------------
 # The HTTP service end to end
 # ---------------------------------------------------------------------------
@@ -416,7 +450,6 @@ class TestService:
             PairwiseMatrixPlan(mode="exact", chunk_size=16),
         ]
 
-    @needs_shm
     def test_results_bit_identical_to_in_process_session(
         self, demo_graph, demo_store, sharded
     ):
@@ -454,7 +487,9 @@ class TestService:
         assert "suite" in telemetry[protocol.F_TENANTS]
         session.close()
 
-    @needs_shm
+    @pytest.mark.skipif(
+        not batch_available(), reason="the closed-form survey needs numpy/SciPy"
+    )
     def test_closed_form_results_bit_identical_to_the_per_pair_path(
         self, demo_graph, tmp_path
     ):
@@ -531,6 +566,61 @@ class TestService:
             error = protocol.decode_error(body[protocol.F_ERROR])
             assert isinstance(error, WireFormatError)
 
+    @pytest.mark.parametrize(
+        "declared, status",
+        [("twelve", 400), ("-5", 400), ("huge", 413)],
+    )
+    def test_bad_content_length_is_typed_and_counted(
+        self, demo_store, declared, status
+    ):
+        import http.client
+
+        from repro.serving.server import MAX_REQUEST_BYTES, NedServiceServer
+
+        if declared == "huge":
+            declared = str(MAX_REQUEST_BYTES + 1)
+        session = NedSession(demo_store)
+        with NedServiceServer(session, workers=0) as server:
+            connection = http.client.HTTPConnection("127.0.0.1", server.port)
+            try:
+                connection.putrequest("POST", protocol.PATH_PLANS)
+                connection.putheader("Content-Length", declared)
+                connection.endheaders()
+                response = connection.getresponse()
+                body = json.loads(response.read())
+            finally:
+                connection.close()
+        assert response.status == status
+        error = protocol.decode_error(body[protocol.F_ERROR])
+        assert isinstance(error, WireFormatError)
+        counters = session.metrics.snapshot()["counters"]
+        assert counters["serving.rejected_bodies"] == 1
+
+    def test_worker_kill_falls_back_locally_bit_identical(
+        self, demo_graph, demo_store
+    ):
+        from repro.serving.client import NedServiceClient
+        from repro.serving.server import NedServiceServer
+
+        reference = NedSession(demo_store)
+        expected = reference.execute_batch(self._plans(demo_graph, reference))
+        # The second dispatched block dies; the served pool has no restart
+        # budget, so it and every later block run in the server process.
+        plan = FaultPlan([FaultSpec("executor.dispatch", kind="kill", after=1)])
+        session = NedSession(demo_store, faults=plan)
+        with NedServiceServer(session, workers=2, min_pairs=2) as server:
+            client = NedServiceClient(port=server.port)
+            got = client.execute_batch(self._plans(demo_graph, reference))
+            again = client.execute_batch(self._plans(demo_graph, reference))
+        assert got[0] == expected[0] and again[0] == expected[0]
+        assert got[1] == expected[1] and again[1] == expected[1]
+        assert got[2].values == expected[2].values == again[2].values
+        snapshot = session.metrics_snapshot()
+        assert snapshot["counters"]["serving.dispatch_blocks"] == 1
+        assert snapshot["resilience"]["serial_fallbacks"] == 1
+        assert snapshot["resilience"]["pool_restarts"] == 0
+        session.close()
+
     def test_unknown_endpoint_is_typed_404(self, demo_store):
         from repro.serving.client import NedServiceClient
         from repro.serving.server import NedServiceServer
@@ -548,7 +638,6 @@ class TestService:
         with pytest.raises(WireFormatError, match="unreachable"):
             client.status()
 
-    @needs_shm
     def test_shutdown_unlinks_segment_even_after_worker_crash(
         self, demo_graph, demo_store
     ):

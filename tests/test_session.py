@@ -483,7 +483,8 @@ class TestReviewRegressions:
     def test_unknown_executor_rejected_at_open(self, store):
         with pytest.raises(DistanceError, match="executor"):
             NedSession(store, executor="proces")
-        assert NedSession(store, executor=lambda chunks: []).executor is not None
+        with pytest.raises(DistanceError, match="executor"):
+            NedSession(store, executor=lambda blocks: [])
 
     def test_session_backed_engine_rejects_resolver_overrides(self, store):
         with NedSession(store) as session:
