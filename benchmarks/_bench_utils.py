@@ -15,7 +15,6 @@ printed through the capture manager's "disabled" context (installed by
 
 from __future__ import annotations
 
-import json
 import sys
 from pathlib import Path
 
@@ -26,11 +25,6 @@ from repro.experiments.reporting import ExperimentTable, format_table
 CAPTURE_MANAGER = None
 
 TABLES_FILE = Path("benchmark_tables.txt")
-
-# Machine-readable kernel-performance record: every smoke run merges its
-# section into this file so the perf trajectory (pairs/sec, cache hit rate,
-# per-backend timings) is tracked from PR 3 onward.
-BENCH_JSON_FILE = Path("BENCH_kernel.json")
 
 
 def _write_visible(text: str) -> None:
@@ -66,24 +60,3 @@ def emit_tables(tables) -> None:
         tables = tables.values()
     for table in tables:
         emit_table(table)
-
-
-def emit_bench_json(section: str, payload: dict, path: Path = BENCH_JSON_FILE) -> dict:
-    """Merge one bench's measurements into the ``BENCH_kernel.json`` record.
-
-    Each smoke entry point owns a top-level ``section`` key; re-running a
-    bench replaces its own section and leaves the others untouched, so the
-    file accumulates one coherent snapshot per working directory.  Returns
-    the full document for callers that want to print it.
-    """
-    document = {}
-    if path.exists():
-        try:
-            document = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError):
-            document = {}
-    if not isinstance(document, dict):
-        document = {}
-    document[section] = payload
-    path.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    return document

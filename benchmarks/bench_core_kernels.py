@@ -17,7 +17,9 @@ one fixed batch of random tree pairs and records the pairs/sec into
 from __future__ import annotations
 
 import argparse
+import json
 import sys
+from pathlib import Path
 
 from repro.core.ned import NedComputer
 from repro.datasets.registry import load_dataset
@@ -152,8 +154,6 @@ def kernel_backend_timings(
 
 
 def main(argv=None) -> int:
-    from _bench_utils import emit_bench_json
-
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smoke", action="store_true",
                         help="tiny workload for CI (seconds, not minutes)")
@@ -165,7 +165,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     pairs = args.pairs if args.pairs is not None else (20 if args.smoke else 60)
     record = kernel_backend_timings(pairs=pairs)
-    emit_bench_json("core_kernels", record)
+    Path("BENCH_kernel.json").write_text(
+        json.dumps({"core_kernels": record}, indent=2, sort_keys=True) + "\n",
+        encoding="utf-8",
+    )
     print(f"TED* kernel backends (k={record['workload']['k']}, "
           f"{record['workload']['tree_size']}-node trees, {pairs} pairs; "
           f"auto -> {record['auto_resolves_to']}):")

@@ -13,21 +13,28 @@ The paper uses this measure as the "HITS" baseline in Figure 9: it can
 compare inter-graph nodes without labels, but it is not a metric and it is
 slow because a whole |V_A| × |V_B| matrix has to be iterated even when only
 one pair is needed.
+
+numpy is imported inside the functions that iterate the matrix, so importing
+:mod:`repro.baselines` (and the experiment drivers built on it) works without
+numpy; only calling the HITS baseline needs it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, Hashable, List, Tuple
 
 from repro.exceptions import DistanceError
 from repro.graph.graph import Graph
 
+if TYPE_CHECKING:
+    import numpy
+
 Node = Hashable
 
 
-def _adjacency_matrix(graph: Graph) -> Tuple[np.ndarray, List[Node]]:
+def _adjacency_matrix(graph: Graph) -> Tuple[numpy.ndarray, List[Node]]:
+    import numpy as np
+
     nodes = list(graph.nodes())
     index = {node: i for i, node in enumerate(nodes)}
     matrix = np.zeros((len(nodes), len(nodes)), dtype=float)
@@ -42,7 +49,7 @@ def hits_similarity_matrix(
     graph_b: Graph,
     iterations: int = 20,
     tolerance: float = 1e-9,
-) -> Tuple[np.ndarray, List[Node], List[Node]]:
+) -> Tuple[numpy.ndarray, List[Node], List[Node]]:
     """Return the converged similarity matrix between two graphs.
 
     Returns ``(S, nodes_a, nodes_b)`` where ``S[j, i]`` is the similarity
@@ -52,6 +59,8 @@ def hits_similarity_matrix(
     """
     if graph_a.number_of_nodes() == 0 or graph_b.number_of_nodes() == 0:
         raise DistanceError("hits_similarity_matrix requires non-empty graphs")
+    import numpy as np
+
     a_matrix, nodes_a = _adjacency_matrix(graph_a)
     b_matrix, nodes_b = _adjacency_matrix(graph_b)
     if iterations % 2 == 1:

@@ -64,8 +64,8 @@ request queue draining into batch ticks, for callers that arrive one
 ``await`` at a time.  For durable precompute, ``save_sharded(store, dir)``
 persists the extraction and ``ShardedTreeStore.load(dir)`` re-attaches it
 lazily from any later process; a warm re-run of the same workload performs
-zero exact evaluations (see ``examples/persistent_sweep.py`` and the
-``persistence``/``serving`` sections of ``BENCH_kernel.json``).
+zero exact evaluations (see ``examples/persistent_sweep.py``; the tier-1
+suite checks it across two interpreter processes).
 
 Performance knobs (all on the session)
 --------------------------------------

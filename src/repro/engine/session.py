@@ -300,8 +300,8 @@ class NedSession:
         serving-queue bounds).  ``None`` (default) uses
         :data:`repro.resilience.DEFAULT_POLICY` — retries and breakers on
         (no result changes in a healthy run), no deadline, strict sidecars.
-        ``False`` disables the layer entirely (the no-overhead baseline the
-        benchmarks compare against); ``True`` is the default policy,
+        ``False`` disables the layer entirely (the unguarded baseline the
+        tests compare against); ``True`` is the default policy,
         spelled out.
     faults:
         A :class:`repro.resilience.FaultPlan` injecting deterministic

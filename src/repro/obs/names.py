@@ -112,7 +112,7 @@ def validate_snapshot_names(snapshot: Dict[str, object]) -> List[str]:
     Returns the sorted list of counter/gauge/histogram names present in the
     snapshot but absent from :data:`METRIC_NAMES`/:data:`METRIC_PREFIXES` —
     empty when every series the process actually minted is canonical.  The
-    observability benchmark asserts this comes back empty, closing the loop
+    tier-1 engine-pass test asserts this comes back empty, closing the loop
     the static rule opens: the linter proves the *literals* are canonical,
     this proves the *runtime series* are.
     """

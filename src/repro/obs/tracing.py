@@ -22,8 +22,7 @@ Enabling
 * from the environment: ``REPRO_TRACE=1`` turns tracing on,
   ``REPRO_TRACE=/path/to/spans.jsonl`` also streams the spans there, and
   unset/``0``/``off`` leaves it disabled.  :func:`tracer_from_env` is read
-  lazily at session construction, so tests (and the CI observability job)
-  can flip it per process.
+  lazily at session construction, so tests can flip it per process.
 
 Clock: spans use :data:`repro.utils.timer.clock` (``perf_counter``) — the
 same monotonic source as :class:`repro.utils.timer.Timer` and the latency

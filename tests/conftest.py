@@ -2,13 +2,24 @@
 
 from __future__ import annotations
 
+import os
 import random
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.graph.generators import barabasi_albert_graph, grid_road_graph
 from repro.graph.graph import DiGraph, Graph
 from repro.trees.tree import Tree
+
+
+@pytest.fixture(scope="session")
+def subprocess_env():
+    """Environment for a child interpreter that imports this ``repro``."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
 
 
 @pytest.fixture

@@ -21,14 +21,17 @@ from repro.graph.graph import Graph
 
 class TestHits:
     def test_matrix_shape(self, path_graph, star_graph):
+        pytest.importorskip("numpy")
         similarity, nodes_a, nodes_b = hits_similarity_matrix(path_graph, star_graph)
         assert similarity.shape == (len(nodes_b), len(nodes_a))
 
     def test_values_non_negative(self, path_graph, star_graph):
+        pytest.importorskip("numpy")
         similarity, _, _ = hits_similarity_matrix(path_graph, star_graph)
         assert (similarity >= 0).all()
 
     def test_structurally_similar_nodes_score_high(self, path_graph):
+        pytest.importorskip("numpy")
         other = path_graph.copy()
         score_mid_mid = hits_node_similarity(path_graph, 2, other, 2)
         score_mid_end = hits_node_similarity(path_graph, 2, other, 0)
@@ -36,6 +39,7 @@ class TestHits:
         assert score_mid_mid > score_mid_end > score_end_end
 
     def test_pair_lookup_unknown_node(self, path_graph, star_graph):
+        pytest.importorskip("numpy")
         with pytest.raises(DistanceError):
             hits_node_similarity(path_graph, 99, star_graph, 0)
 
@@ -44,6 +48,7 @@ class TestHits:
             hits_similarity_matrix(Graph(), path_graph)
 
     def test_is_not_symmetric_in_general(self, path_graph, star_graph):
+        pytest.importorskip("numpy")
         # HITS similarity is a similarity score, not a metric distance: the
         # score of (u, v) need not equal a distance and self-similarity is not
         # maximal in general.  This documents the paper's "not a metric" claim.

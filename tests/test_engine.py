@@ -218,6 +218,21 @@ class TestDistanceMatrix:
         assert process.values == serial.values
         assert pruned.stats.exact_evaluations <= serial.stats.exact_evaluations
 
+    def test_each_bound_tier_skips_more_exact_work(self, deep_store):
+        serial = pairwise_distance_matrix(deep_store, mode="exact")
+        level_size = pairwise_distance_matrix(
+            deep_store, mode="bound-prune", tiers=("signature", "level-size")
+        )
+        full = pairwise_distance_matrix(deep_store, mode="bound-prune")
+        assert level_size.values == serial.values
+        assert full.values == serial.values
+        assert (
+            full.stats.exact_evaluations
+            <= level_size.stats.exact_evaluations
+            <= serial.stats.exact_evaluations
+        )
+        assert full.stats.exact_evaluations_avoided > 0
+
     def test_matrix_is_symmetric_with_zero_diagonal(self, ba_store):
         matrix = pairwise_distance_matrix(ba_store)
         for i in range(len(matrix.row_nodes)):

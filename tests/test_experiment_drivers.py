@@ -6,6 +6,7 @@ the qualitative shape the paper reports (where that shape is deterministic
 enough to assert at this scale).
 """
 
+import pytest
 
 from repro.experiments.ablations import (
     ablation_bound_tiers,
@@ -94,6 +95,7 @@ class TestFigure8:
 
 class TestFigure9:
     def test_hits_is_slowest(self):
+        pytest.importorskip("numpy")
         table = figure9a_similarity_computation_time(
             datasets=("PGP",), pair_count=3, scale=0.15
         )

@@ -7,7 +7,10 @@ version mismatches, truncated files, corrupted headers, and the v1→v2
 store upgrade path.
 """
 
+import json
 import pickle
+import subprocess
+import sys
 
 import pytest
 
@@ -39,6 +42,65 @@ def dense(graph):
 def sharded(dense, tmp_path):
     save_sharded(dense, tmp_path / "store", shards=5)
     return ShardedTreeStore.load(tmp_path / "store", max_resident=2)
+
+
+#: One persistence phase, run as its own interpreter: the first run over a
+#: state directory extracts a k = 4 store into 4 shards and writes the cache
+#: sidecar on close; a later run attaches both.  Prints the phase's exact
+#: evaluations and digests of its matrix and kNN answers as one JSON line.
+_PHASE = """
+import hashlib, json, sys
+from pathlib import Path
+from repro.engine import (
+    KnnPlan, NedSession, ShardedTreeStore, TreeStore, save_sharded,
+    sharded_store_exists,
+)
+from repro.graph.generators import barabasi_albert_graph
+
+state = Path(sys.argv[1])
+graph = barabasi_albert_graph(40, 2, seed=5)
+store_dir, cache_file = state / "store", state / "cache.ned"
+cold = not sharded_store_exists(store_dir)
+if cold:
+    save_sharded(TreeStore.from_graph(graph, 4), store_dir, shards=4)
+store = ShardedTreeStore.load(store_dir)
+with NedSession(store, cache_file=cache_file) as session:
+    matrix = session.pairwise_matrix(mode="bound-prune")
+    plans = [KnnPlan(session.probe(graph, node), 5) for node in graph.nodes()[:8]]
+    answers = session.execute_batch(plans)
+
+def digest(value):
+    return hashlib.sha256(json.dumps(value).encode("utf-8")).hexdigest()
+
+print(json.dumps(dict(
+    cold=cold,
+    shards=store.shard_count,
+    exact=session.stats.exact_evaluations,
+    matrix=digest(matrix.values),
+    knn=digest(answers),
+)))
+"""
+
+
+def _run_phase(state, env):
+    """Run :data:`_PHASE` over ``state`` in a fresh interpreter."""
+    done = subprocess.run(
+        [sys.executable, "-c", _PHASE, str(state)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+class TestCrossProcessPersistence:
+    def test_warm_process_reuses_shards_and_sidecar(self, tmp_path, subprocess_env):
+        cold = _run_phase(tmp_path, subprocess_env)
+        assert cold["cold"] and cold["shards"] == 4
+        assert cold["exact"] > 0
+        warm = _run_phase(tmp_path, subprocess_env)
+        assert not warm["cold"]
+        assert warm["exact"] == 0
+        assert (warm["matrix"], warm["knn"]) == (cold["matrix"], cold["knn"])
 
 
 class TestShardedTreeStore:

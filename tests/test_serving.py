@@ -13,13 +13,21 @@ Covers the serving stack end to end:
 * the worker pool — dispatched blocks bit-identical to local evaluation,
   small-block declines, crash degradation to the local path;
 * the HTTP service — results bit-identical to a direct in-process session,
-  per-tenant telemetry, typed overload/deadline errors across the wire.
+  per-tenant telemetry, typed overload/deadline errors across the wire;
+* ``python -m repro.serving`` as a real subprocess — concurrent clients get
+  their cold per-client sessions' bits while the service shares their
+  common work, typed sheds under a depth-1 queue, clean SIGTERM shutdown.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
+import signal
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -664,3 +672,155 @@ class TestService:
         server.close()
         assert not segment.exists()  # unlinked exactly once, no leak
         server.close()  # idempotent
+
+
+# ---------------------------------------------------------------------------
+# `python -m repro.serving` as a real subprocess
+# ---------------------------------------------------------------------------
+#: The ready line ``ned-serve`` prints once it accepts requests.
+_READY_LINE = re.compile(r"at http://([0-9.]+):(\d+)")
+
+
+def _mapped_segments(pid):
+    """The shared-memory segments process ``pid`` has mapped."""
+    maps = Path(f"/proc/{pid}/maps").read_text().splitlines()
+    return {Path(line.split()[-1]).name for line in maps if "/dev/shm/psm_" in line}
+
+
+class _ServeProcess:
+    """One ``python -m repro.serving`` child, parsed ready."""
+
+    def __init__(self, env, store_dir, *options):
+        self.proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.serving", "--store-dir", str(store_dir),
+             "--port", "0", *options],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        )
+        match = _READY_LINE.search(self.proc.stdout.readline())
+        if match is None:
+            self.proc.kill()
+            _, err = self.proc.communicate(timeout=30)
+            raise AssertionError(f"ned-serve did not come up: {err}")
+        self.port = int(match.group(2))
+
+    def stop(self) -> int:
+        """SIGTERM, wait, return the exit code (stderr kept on ``self.err``)."""
+        self.proc.send_signal(signal.SIGTERM)
+        try:
+            _, self.err = self.proc.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            self.proc.kill()
+            _, self.err = self.proc.communicate()
+        return self.proc.returncode
+
+
+def _canonical(results):
+    """Point answers as-is, matrices as (rows, cols, values)."""
+    return [
+        result if isinstance(result, list)
+        else (result.row_nodes, result.col_nodes, result.values)
+        for result in results
+    ]
+
+
+@pytest.mark.skipif(
+    not Path("/dev/shm").is_dir() or not Path("/proc/self/maps").exists(),
+    reason="needs /dev/shm and /proc",
+)
+class TestServiceProcess:
+    """Concurrent clients against one ``ned-serve`` child at k = 4.
+
+    Every client sends the same exact all-pairs matrix plus its own window
+    of kNN probes.  Each must get the bits of a cold session of its own;
+    the service computes the shared matrix once, so it makes strictly fewer
+    exact evaluations than the cold sessions together.
+    """
+
+    CLIENTS = 3
+    PROBES = 3
+    SHARDS = 3
+
+    @pytest.fixture(scope="class")
+    def store_dir(self, demo_store, tmp_path_factory):
+        path = tmp_path_factory.mktemp("served") / "shards"
+        save_sharded(demo_store, path, shards=self.SHARDS)
+        return path
+
+    def _plans(self, graph, client):
+        nodes = sorted(graph.nodes())
+        plans = [PairwiseMatrixPlan(mode="exact", chunk_size=32)]
+        for offset in range(self.PROBES):
+            node = nodes[(client * self.PROBES + offset) % len(nodes)]
+            plans.append(KnnPlan(_probe(graph, node), 5))
+        return plans
+
+    def test_clients_match_cold_sessions_with_shared_work(
+        self, demo_graph, store_dir, subprocess_env
+    ):
+        from repro.serving.client import NedServiceClient
+
+        expected, cold_exact = [], 0
+        for client in range(self.CLIENTS):
+            with NedSession(ShardedTreeStore.load(store_dir)) as cold:
+                expected.append(
+                    _canonical(cold.execute_batch(self._plans(demo_graph, client)))
+                )
+                cold_exact += cold.stats.exact_evaluations
+
+        server = _ServeProcess(
+            subprocess_env, store_dir, "--workers", "2", "--min-pairs", "1"
+        )
+        try:
+            ours = _mapped_segments(server.proc.pid)
+
+            def one_client(index):
+                client = NedServiceClient(port=server.port, tenant=f"client-{index}")
+                return _canonical(client.execute_batch(self._plans(demo_graph, index)))
+
+            with ThreadPoolExecutor(self.CLIENTS) as pool:
+                got = list(pool.map(one_client, range(self.CLIENTS)))
+            merged = NedServiceClient(port=server.port).telemetry()[protocol.F_MERGED]
+        finally:
+            rc = server.stop()
+        assert rc == 0
+        # The segment is gone, and not because the resource tracker had to
+        # clean up after a missed unlink (it warns about that on stderr).
+        assert ours and not any((Path("/dev/shm") / name).exists() for name in ours)
+        assert "leaked shared_memory" not in server.err
+        assert got == expected
+
+        counters, histograms = merged["counters"], merged["histograms"]
+        assert counters.get("serving.dispatch_blocks", 0) > 0
+        assert counters.get("shards.stream_decodes", 0) <= self.SHARDS
+        # With --min-pairs 1 every exact block goes to the workers, so the
+        # service's exact evaluations are the dispatched pairs plus the kNN
+        # scans' single-pair evaluations.
+        assert "resolver.exact_batch_seconds" not in histograms
+        assert counters.get("serving.dispatch_fallbacks", 0) == 0
+        single = histograms.get("resolver.exact_seconds", {}).get("count", 0)
+        served_exact = counters["serving.dispatch_pairs"] + single
+        assert 0 < served_exact < cold_exact
+
+    def test_burst_on_a_depth_one_queue_sheds_typed(self, store_dir, subprocess_env):
+        from repro.serving.client import NedServiceClient
+
+        plan = PairwiseMatrixPlan(mode="exact", chunk_size=32)
+        with NedSession(ShardedTreeStore.load(store_dir)) as reference:
+            expected = _canonical([reference.execute(plan)])
+        server = _ServeProcess(subprocess_env, store_dir, "--max-queue-depth", "1")
+        try:
+            # Any error but a typed shed propagates out of pool.map.
+            def one_request(_):
+                client = NedServiceClient(port=server.port)
+                try:
+                    return _canonical([client.execute(plan)]) == expected
+                except (OverloadError, DeadlineError):
+                    return None
+
+            with ThreadPoolExecutor(12) as pool:
+                outcomes = list(pool.map(one_request, range(12)))
+        finally:
+            rc = server.stop()
+        assert rc == 0
+        assert False not in outcomes  # every answer that came back is right
+        assert True in outcomes
