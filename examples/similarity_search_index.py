@@ -22,12 +22,12 @@ Every query–candidate distance flows through one
    by tiers 1-3 still straddles the decision (the current k-th best
    distance, a range radius).
 
-``mode="bound-prune"`` drives the cascade through a scan; ``mode="hybrid"``
-plugs it into the VP-tree itself, so triangle pruning discards whole
-subtrees while the summary bounds discard individual candidates.  Either
-way the results are identical to the exact scan — only the number of exact
-TED* evaluations changes, and the per-tier engine counters show exactly
-where each skipped evaluation went.
+``mode="bound-prune"`` drives the cascade through a scan.  Its results are
+identical to the exact scan — only the number of exact TED* evaluations
+changes, and the per-tier engine counters show exactly where each skipped
+evaluation went.  The VP-tree prunes with the triangle inequality alone;
+TED* breaks it at k >= 4, so there only the scan and ``bound-prune`` are
+guaranteed exact (this example runs at k = 3).
 
 Run with::
 
@@ -51,7 +51,7 @@ QUERIES = 5
 
 
 def main() -> None:
-    print("== NED similarity retrieval: VP-tree vs bound-pruned vs hybrid engine ==")
+    print("== NED similarity retrieval: VP-tree vs bound-pruned engine ==")
     graph_q, graph_c = load_dataset_pair("PGP", "PGP", scale=0.4, seed=3)
     candidate_nodes = graph_c.nodes()[:CANDIDATES]
     print(f"precomputing {len(candidate_nodes)} candidate trees from the second graph (k={K})")
@@ -67,9 +67,8 @@ def main() -> None:
     print(f"TreeStore built in {extraction_seconds:.2f}s, "
           f"round-tripped through {store_path.name}")
 
-    # Four engines over the SAME store: exact scan (the reference), the
-    # VP-tree (the paper's index), summary-bound pruning (no index), and the
-    # hybrid VP-tree that composes triangle and summary pruning.  Each
+    # Three engines over the SAME store: exact scan (the reference), the
+    # VP-tree (the paper's index) and summary-bound pruning (no index).  Each
     # pruning regime gets its own session with the distance cache off, so
     # the counters below compare touched pairs per regime (a production
     # session would keep the default cache on and share one session).
@@ -77,7 +76,6 @@ def main() -> None:
         "scan": dict(mode="exact", index="linear"),
         "vptree": dict(mode="exact", index="vptree", leaf_size=8),
         "bound-prune": dict(mode="bound-prune"),
-        "hybrid": dict(mode="hybrid", index="vptree", leaf_size=8),
     }
     engines = {
         name: NedSession(store, cache_size=0).search_engine(**options)
@@ -86,36 +84,30 @@ def main() -> None:
     scan_engine = engines["scan"]
     vptree_engine = engines["vptree"]
     pruned_engine = engines["bound-prune"]
-    hybrid_engine = engines["hybrid"]
 
-    totals = {"scan": 0, "vptree": 0, "bound-prune": 0, "hybrid": 0}
+    totals = {"scan": 0, "vptree": 0, "bound-prune": 0}
     for query_node in graph_q.nodes()[:QUERIES]:
         query_tree = k_adjacent_tree(graph_q, query_node, K)
         scan_result = scan_engine.knn(query_tree, NEIGHBORS)
         vptree_result = vptree_engine.knn(query_tree, NEIGHBORS)
         pruned_result = pruned_engine.knn(query_tree, NEIGHBORS)
-        hybrid_result = hybrid_engine.knn(query_tree, NEIGHBORS)
         assert [d for _, d in vptree_result] == [d for _, d in scan_result], "index must be exact"
         assert pruned_result == scan_result, "bound pruning must be exact"
-        assert [d for _, d in hybrid_result] == [d for _, d in scan_result], \
-            "hybrid pruning must be exact"
         totals["scan"] += scan_engine.last_query_distance_calls
         totals["vptree"] += vptree_engine.last_query_distance_calls
         totals["bound-prune"] += pruned_engine.last_query_distance_calls
-        totals["hybrid"] += hybrid_engine.last_query_distance_calls
         print(f"  query node {query_node}: nearest distances "
               f"{[round(d, 1) for _, d in scan_result]} — exact TED* evaluations: "
               f"scan {scan_engine.last_query_distance_calls}, "
               f"vptree {vptree_engine.last_query_distance_calls}, "
-              f"bound-prune {pruned_engine.last_query_distance_calls}, "
-              f"hybrid {hybrid_engine.last_query_distance_calls}")
+              f"bound-prune {pruned_engine.last_query_distance_calls}")
 
     print(f"\nacross {QUERIES} queries (exact TED* evaluations):")
     for name, count in totals.items():
         saved = 1.0 - count / totals["scan"] if totals["scan"] else 0.0
         print(f"  {name:<12}: {count:>5}  ({saved:.0%} saved vs scan)")
-    stats = hybrid_engine.stats
-    print(f"\nhybrid engine per-tier counters: {stats.signature_hits} signature hits, "
+    stats = pruned_engine.stats
+    print(f"\nbound-prune engine per-tier counters: {stats.signature_hits} signature hits, "
           f"{stats.decided_by_level_size} + {stats.decided_by_degree} decided by "
           f"level-size/degree bounds, {stats.pruned_by_level_size} + "
           f"{stats.pruned_by_degree} pruned by level-size/degree lower bounds "

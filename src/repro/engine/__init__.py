@@ -29,7 +29,7 @@ warm piece of state:
   module-level functions open an ephemeral session per build.
 * :mod:`repro.engine.search` — :class:`NedSearchEngine`: ``knn`` /
   ``range_search`` / ``top_l_candidates`` over any :mod:`repro.index`
-  backend (plain or hybrid bound+triangle) or via bound-pruned scans, with
+  backend (``mode="exact"``) or via bound-pruned scans, with
   per-query per-tier statistics.  Session-backed: engines built from one
   session share its warm cache.
 * :mod:`repro.engine.stats` — the shared telemetry counters.

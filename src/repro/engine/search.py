@@ -8,7 +8,7 @@ caller opened (``session=``, via :meth:`NedSession.search_engine`) or an
 ephemeral one the engine opens for itself — so all distance resolution
 flows through the session's one warm
 :class:`repro.ted.resolver.BoundedNedDistance` cascade (signature →
-level-size bounds → degree-multiset bounds → cache → exact TED*); the three
+level-size bounds → degree-multiset bounds → cache → exact TED*); the two
 modes differ only in *which* pruning machinery drives it:
 
 * ``mode="exact"`` routes queries through one of the :mod:`repro.index`
@@ -19,19 +19,20 @@ modes differ only in *which* pruning machinery drives it:
   skipping: the cascade's interval resolves candidates outright when it can,
   a static threshold (the count-th smallest upper bound) discards candidates
   before any exact work, and a dynamic threshold tightens as results come in.
-* ``mode="hybrid"`` builds the metric index *with* the session's interval
-  hook: triangle pruning discards whole subtrees, summary bounds discard
-  individual nodes, and exact TED* is paid only when a pair's interval
-  straddles the running kNN threshold.  kNN queries additionally seed the
-  threshold with the session's ``tau_hint`` (the count-th smallest summary
-  upper bound), so both pruning families bite from the first visited node.
 
-All modes return identical results (the metric-index backends may order
-equal-distance candidates differently) — only the number of exact TED*
-evaluations changes, which is the cost that matters when each evaluation is
-O(k·n³).  Every query records a :class:`~repro.engine.stats.QueryStats`
-snapshot in ``last_query_stats`` (with per-tier counters) and accumulates
-into the engine-wide ``stats`` total.
+A third mode, ``"hybrid"`` (summary intervals threaded through the VP-/BK-
+tree traversals), was retired: on the Figure 9b datasets it never paid fewer
+exact evaluations or less time than the bound-pruned scan, and it rested on
+the triangle inequality, which TED* as computed breaks at k >= 4.
+
+Both modes return identical results (the metric-index backends may order
+equal-distance candidates differently, and at k >= 4 the VP- and BK-tree
+may miss neighbours, see :class:`repro.index.VPTree`) — only the number of
+exact TED* evaluations changes, which is the cost that matters when each
+evaluation is O(k·n³).  Every query records a
+:class:`~repro.engine.stats.QueryStats` snapshot in ``last_query_stats``
+(with per-tier counters) and accumulates into the engine-wide ``stats``
+total.
 
 Note the session defaults the signature-keyed distance cache **on**
 (:data:`repro.ted.resolver.DEFAULT_CACHE_SIZE`), unifying the previously
@@ -64,7 +65,7 @@ Node = Hashable
 Query = Union[StoredTree, Tree]
 StoreLike = Union[TreeStore, ShardedTreeStore]
 
-SEARCH_MODES = ("exact", "bound-prune", "hybrid")
+SEARCH_MODES = ("exact", "bound-prune")
 INDEX_BACKENDS = ("linear", "vptree", "bktree")
 
 
@@ -76,9 +77,9 @@ class NedSearchEngine:
     store:
         Candidate trees (typically every node of the searched graph).
     mode:
-        ``"exact"``, ``"bound-prune"`` or ``"hybrid"`` (see module docstring).
+        ``"exact"`` or ``"bound-prune"`` (see module docstring).
     index:
-        Metric-index backend used by exact- and hybrid-mode queries; ignored
+        Metric-index backend used by exact-mode queries; ignored
         by bound-prune queries, which scan with summary-based pruning.
     backend, tiers, cache_size, cache_file:
         Configuration of the ephemeral :class:`~repro.engine.session.NedSession`
@@ -107,7 +108,7 @@ class NedSearchEngine:
     -------
     >>> from repro.graph.generators import grid_road_graph
     >>> graph = grid_road_graph(6, 6, seed=1)
-    >>> engine = NedSearchEngine.from_graph(graph, k=3, mode="hybrid", index="vptree")
+    >>> engine = NedSearchEngine.from_graph(graph, k=3, mode="bound-prune")
     >>> [node for node, _ in engine.knn(engine.probe(graph, 0), 3)][0]
     0
     """
@@ -182,7 +183,6 @@ class NedSearchEngine:
         self._index: Optional[MetricIndexBase] = None
         self._entries = store.entries()
         self._resolver = session.resolver
-        self._bounds_memo = session.interval_hook()
         self.stats = EngineStats()
         self.last_query_stats: Optional[QueryStats] = None
 
@@ -230,8 +230,8 @@ class NedSearchEngine:
     def knn(self, query: Query, count: int) -> List[Tuple[Node, float]]:
         """Return the ``count`` candidate nodes closest to ``query``.
 
-        Scan-answered queries — ``bound-prune`` mode, and ``exact``/``hybrid``
-        mode with the ``"linear"`` backend — break ties by store order and
+        Scan-answered queries — ``bound-prune`` mode, and ``exact`` mode
+        with the ``"linear"`` backend — break ties by store order and
         therefore return identical results to each other.  The ``"vptree"``
         and ``"bktree"`` backends return the same *distances* but may order
         (and, at the ``count``-th cut, select) equal-distance candidates by
@@ -274,10 +274,8 @@ class NedSearchEngine:
 
         Semantics match :func:`repro.anonymize.deanonymize.deanonymize_node`:
         the ``top_l`` closest candidates with ties broken by ``repr(node)``.
-        In ``bound-prune`` and ``hybrid`` mode candidates are skipped via the
-        resolution cascade (the repr-tie-break is a contract the metric
-        indexes do not offer, so hybrid answers this query as a bound-pruned
-        scan); in ``exact`` mode every candidate is evaluated.
+        In ``bound-prune`` mode candidates are skipped via the resolution
+        cascade; in ``exact`` mode every candidate is evaluated.
         """
         if top_l <= 0:
             raise IndexingError(f"top_l must be positive, got {top_l}")
@@ -336,32 +334,20 @@ class NedSearchEngine:
         if self._index is None:
             entries = self._entries
             measure = self._exact
-            resolver = self._bounds_memo if self.mode == "hybrid" else None
             if self.index_kind == "linear":
-                self._index = LinearScanIndex(entries, measure, resolver=resolver)
+                self._index = LinearScanIndex(entries, measure)
             elif self.index_kind == "vptree":
                 self._index = VPTree(
-                    entries,
-                    measure,
-                    leaf_size=self._leaf_size,
-                    seed=self._index_seed,
-                    resolver=resolver,
+                    entries, measure, leaf_size=self._leaf_size, seed=self._index_seed
                 )
             else:
-                self._index = BKTree(entries, measure, resolver=resolver)
+                self._index = BKTree(entries, measure)
         return self._index
 
     def _indexed_knn(self, probe: StoredTree, count: int) -> List[Tuple[Node, float]]:
         index = self._get_index()  # build outside the stats window
         with self._query_window() as counters:
-            tau_hint = None
-            if self.mode == "hybrid":
-                intervals = self._bounds_memo.begin(probe, self._entries)
-                tau_hint = self.session.tau_hint(intervals, count)
-            try:
-                result = index.knn(probe, count, tau_hint=tau_hint)
-            finally:
-                self._bounds_memo.clear()
+            result = index.knn(probe, count)
         self._record(counters)
         return [(item.node, distance) for item, distance in result]
 

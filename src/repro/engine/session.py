@@ -95,7 +95,6 @@ from repro.ted.resolver import (
     BATCH_BACKEND,
     DEFAULT_CACHE_SIZE,
     BoundedNedDistance,
-    ResolutionInterval,
 )
 from repro.trees.tree import Tree
 from repro.utils.timer import clock
@@ -194,45 +193,6 @@ _PLAN_KINDS = {
     RangePlan: "range",
     TopLPlan: "topl",
 }
-
-
-class SessionIntervalHook:
-    """The duck-typed interval hook the metric indexes consume.
-
-    The session hands one of these to every search engine it backs (and the
-    engine hands it to its :mod:`repro.index` backend), so the indexes get
-    their cheap ``[lower, upper]`` intervals from the session's warm resolver
-    instead of a hand-wired one.  Hybrid kNN computes every candidate's
-    interval once up front (it needs all the upper bounds to seed the
-    threshold); :meth:`begin` memoises those so the index hook reuses them
-    instead of re-evaluating the O(k) bounds per visited node.  Outside a
-    memoised query (range search) it falls through to the live resolver.
-    """
-
-    def __init__(self, resolver: BoundedNedDistance) -> None:
-        self._resolver = resolver
-        self._memo: Dict[int, ResolutionInterval] = {}
-
-    def begin(
-        self, probe: StoredTree, entries: Sequence[StoredTree]
-    ) -> List[ResolutionInterval]:
-        intervals = [self._resolver.bounds(probe, entry) for entry in entries]
-        self._memo = {id(entry): interval for entry, interval in zip(entries, intervals)}
-        return intervals
-
-    def clear(self) -> None:
-        self._memo = {}
-
-    # ---- the hook interface (mirrors BoundedNedDistance's outcome surface)
-    def bounds(self, probe: StoredTree, entry: StoredTree) -> ResolutionInterval:
-        interval = self._memo.get(id(entry))
-        return interval if interval is not None else self._resolver.bounds(probe, entry)
-
-    def record_pruned(self, interval: ResolutionInterval) -> None:
-        self._resolver.record_pruned(interval)
-
-    def record_decided(self, interval: ResolutionInterval) -> None:
-        self._resolver.record_decided(interval)
 
 
 class NedSession:
@@ -732,28 +692,6 @@ class NedSession:
         worker processes.  Pass ``None`` to detach.
         """
         self._resolver.attach_block_dispatcher(dispatcher)
-
-    def interval_hook(self) -> SessionIntervalHook:
-        """Return a fresh interval hook bound to the warm resolver.
-
-        This is what the metric indexes consume (via the search engine) for
-        hybrid bound+triangle pruning — the hook is per-engine because it
-        memoises per-query state.
-        """
-        return SessionIntervalHook(self._resolver)
-
-    @staticmethod
-    def tau_hint(intervals: Sequence[ResolutionInterval], count: int) -> Optional[float]:
-        """Seed threshold for a ``count``-NN search from candidate intervals.
-
-        The ``count``-th smallest upper bound is an achievable distance, so
-        an index search can start its threshold there instead of at infinity.
-        Returns ``None`` when there are not enough candidates to cut.
-        """
-        if len(intervals) <= count:
-            return None
-        uppers = sorted(interval.upper for interval in intervals)
-        return uppers[count - 1]
 
     # ----------------------------------------------------------------- probes
     def probe(self, graph: Graph, node: Node) -> StoredTree:

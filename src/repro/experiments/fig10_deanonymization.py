@@ -106,8 +106,8 @@ def deanonymization_experiment(
     precision of the two methods, which is the figure's claim.
 
     ``engine_mode`` routes the NED attacker through a
-    :class:`repro.engine.NedSession` (query mode ``"exact"``,
-    ``"bound-prune"`` or ``"hybrid"``) instead of the pairwise callable: the
+    :class:`repro.engine.NedSession` (query mode ``"exact"`` or
+    ``"bound-prune"``) instead of the pairwise callable: the
     per-target top-l queries run as one *batch* of
     :class:`~repro.engine.session.TopLPlan`\\ s through the session's batched
     executor — identical candidate lists, but the training trees are

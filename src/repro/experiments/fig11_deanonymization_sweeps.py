@@ -34,7 +34,7 @@ def figure11a_precision_vs_permutation_ratio(
 ) -> ExperimentTable:
     """Precision of NED and Feature as the perturbation ratio grows.
 
-    ``engine_mode`` (``"exact"``/``"bound-prune"``/``"hybrid"``) routes the
+    ``engine_mode`` (``"exact"``/``"bound-prune"``) routes the
     NED attacker through a :class:`repro.engine.NedSession` (the per-target
     top-l queries run as one batch through the session's batched executor)
     and ``engine_tiers`` restricts its resolution cascade for tier
@@ -88,7 +88,7 @@ def figure11b_precision_vs_top_l(
 ) -> ExperimentTable:
     """Precision of NED and Feature as the examined top-l grows.
 
-    ``engine_mode`` (``"exact"``/``"bound-prune"``/``"hybrid"``) routes the
+    ``engine_mode`` (``"exact"``/``"bound-prune"``) routes the
     NED attacker through a :class:`repro.engine.NedSession` (the per-target
     top-l queries run as one batch through the session's batched executor)
     and ``engine_tiers`` restricts its resolution cascade for tier

@@ -272,16 +272,16 @@ def figure9b_tier_ablation(
 ) -> ExperimentTable:
     """Tier ablation on the Figure 9b workload: where do exact TED* evals go?
 
-    Runs the same kNN queries over the same candidate store under five
-    pruning regimes — triangle-only VP-tree (the paper's index), bound-pruned
-    scans with level-size bounds only (the PR-1 behaviour) and with the full
-    degree-multiset cascade, and the hybrid bound+triangle VP-/BK-trees —
-    and reports, per regime, the mean exact TED* evaluations per query plus
-    the per-tier counters showing *which* tier skipped the rest.  Each regime
-    runs in its own :class:`repro.engine.NedSession` with the distance cache
-    off, so the counters measure touched pairs per pruning regime, not
-    distinct signature pairs.  All regimes return identical nearest-neighbor
-    distances; the run asserts it.
+    Runs the same kNN queries over the same candidate store under three
+    pruning regimes — triangle-only VP-tree (the paper's index), and
+    bound-pruned scans with level-size bounds only (the PR-1 behaviour) and
+    with the full degree-multiset cascade — and reports, per regime, the
+    mean exact TED* evaluations per query plus the per-tier counters showing
+    *which* tier skipped the rest.  Each regime runs in its own
+    :class:`repro.engine.NedSession` with the distance cache off, so the
+    counters measure touched pairs per pruning regime, not distinct signature
+    pairs.  All regimes return identical nearest-neighbor distances; the run
+    asserts it.
     """
     from repro.engine.session import NedSession
     from repro.engine.tree_store import TreeStore, summarize_tree
@@ -301,8 +301,6 @@ def figure9b_tier_ablation(
         ("vptree triangle-only", dict(mode="exact", index="vptree"), None),
         ("scan level-size", dict(mode="bound-prune"), ("signature", "level-size")),
         ("scan degree-multiset", dict(mode="bound-prune"), None),
-        ("hybrid vptree", dict(mode="hybrid", index="vptree"), None),
-        ("hybrid bktree", dict(mode="hybrid", index="bktree"), None),
     )
     engines = {
         name: NedSession(

@@ -6,21 +6,12 @@ node stores one item and its children are bucketed by their exact distance to
 it, so range and kNN queries prune entire distance buckets with the triangle
 inequality.  The index is included as an ablation against the VP-tree used in
 the paper's Figure 9b.
-
-With an optional ``resolver`` hook (see
-:class:`~repro.index.knn.MetricIndexBase`), queries become hybrid: a node
-whose summary lower bound already exceeds the pruning threshold skips its
-exact distance, and the child-bucket window widens from the exact distance
-to the ``[lower, upper]`` interval — every item under the child keyed
-``separation`` is exactly ``separation`` away from the node's item, so the
-triangle tests stay safe on the window.  Construction always uses exact
-distances (bucket keys must be true).
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.exceptions import IndexingError
 from repro.index.knn import DistanceFn, MetricIndexBase
@@ -35,15 +26,16 @@ class _BKNode:
 
 
 class BKTree(MetricIndexBase):
-    """BK-tree over arbitrary items under an integer-valued metric distance."""
+    """BK-tree over arbitrary items under an integer-valued metric distance.
 
-    def __init__(
-        self,
-        items: Sequence[Any],
-        distance: DistanceFn,
-        resolver: Optional[Any] = None,
-    ) -> None:
-        super().__init__(items, distance, resolver=resolver)
+    At k >= 4, triangle pruning may miss neighbours: TED* as computed here
+    breaks the triangle inequality there (see
+    ``test_triangle_inequality_witness_at_k4``).  The linear index and the
+    engine's ``bound-prune`` mode are exact at every k.
+    """
+
+    def __init__(self, items: Sequence[Any], distance: DistanceFn) -> None:
+        super().__init__(items, distance)
         self.build_distance_calls = 0
         iterator = iter(self._items)
         self._root = _BKNode(next(iterator))
@@ -73,37 +65,34 @@ class BKTree(MetricIndexBase):
         stack = [self._root]
         while stack:
             node = stack.pop()
-            lower, upper, distance = self._distance_window(query, node.item, radius)
-            if distance is not None and distance <= radius:
+            distance = self._measure(query, node.item)
+            if distance <= radius:
                 matches.append((node.item, distance))
-            low = lower - radius
-            high = upper + radius
+            low = distance - radius
+            high = distance + radius
             for separation, child in node.children.items():
                 if low <= separation <= high:
                     stack.append(child)
         matches.sort(key=lambda pair: pair[1])
         return matches
 
-    def _knn(
-        self, query: Any, k: int, tau_hint: Optional[float] = None
-    ) -> List[Tuple[Any, float]]:
+    def _knn(self, query: Any, k: int) -> List[Tuple[Any, float]]:
         """Return the ``k`` indexed items closest to ``query``.
 
         Best-first traversal: nodes are expanded in ascending order of the
         least distance their subtree can contain (every item under the child
         keyed ``separation`` is exactly ``separation`` from the node's item,
-        so that least distance is ``max(lower - separation, separation -
-        upper, parent's)``), and the walk stops as soon as it exceeds the
-        current ``k``-th best distance (seeded from ``tau_hint`` when given).
+        so that least distance is ``max(|d - separation|, parent's)``), and
+        the walk stops as soon as it exceeds the current ``k``-th best
+        distance.
         """
         if k <= 0:
             raise IndexingError(f"k must be positive, got {k}")
-        hint = float("inf") if tau_hint is None else float(tau_hint)
         best: List[Tuple[float, int, Any]] = []  # max-heap by -distance
         counter = 0
 
         def tau() -> float:
-            return min(hint, -best[0][0]) if len(best) == k else hint
+            return -best[0][0] if len(best) == k else float("inf")
 
         # Min-heap of (gap, sequence, node): gap lower-bounds the distance of
         # every item in the node's subtree.
@@ -113,16 +102,15 @@ class BKTree(MetricIndexBase):
             gap, _, node = heapq.heappop(frontier)
             if gap > tau():
                 break
-            lower, upper, distance = self._distance_window(query, node.item, tau())
-            if distance is not None:
-                if len(best) < k:
-                    heapq.heappush(best, (-distance, counter, node.item))
-                elif distance < -best[0][0]:
-                    heapq.heapreplace(best, (-distance, counter, node.item))
-                counter += 1
+            distance = self._measure(query, node.item)
+            if len(best) < k:
+                heapq.heappush(best, (-distance, counter, node.item))
+            elif distance < -best[0][0]:
+                heapq.heapreplace(best, (-distance, counter, node.item))
+            counter += 1
             threshold = tau()
             for separation, child in node.children.items():
-                child_gap = max(gap, lower - separation, separation - upper, 0.0)
+                child_gap = max(gap, abs(distance - separation))
                 if child_gap <= threshold:
                     heapq.heappush(frontier, (child_gap, sequence, child))
                     sequence += 1

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Sequence, Tuple
 
 from repro.exceptions import IndexingError
 
@@ -18,41 +18,13 @@ class MetricIndexBase(ABC):
     nearest-neighbor and range queries and report how many distance
     evaluations the last query used (the key quantity compared in the
     paper's Figure 9b).
-
-    Hybrid bound+triangle pruning
-    -----------------------------
-    ``resolver`` is an optional interval hook (duck-typed after
-    :class:`repro.ted.resolver.BoundedNedDistance`: ``bounds(query, item)``
-    returning an object with ``lower``/``upper``/``exact``/``tier``, plus
-    ``record_pruned`` / ``record_decided``).  In the engine this hook is a
-    :class:`repro.engine.session.SessionIntervalHook` handed down from the
-    owning :class:`~repro.engine.session.NedSession` — the indexes never
-    wire a resolver themselves, so every index consults the same warm
-    cascade (and its counters) as the session's other query surfaces; the
-    session also supplies the ``tau_hint`` seed for :meth:`knn`.  When
-    present, implementations
-    consult the cheap interval before paying for an exact distance: an item
-    whose *lower bound* already exceeds the decision boundary (current kNN
-    threshold or range radius) is discarded outright, an interval that pins a
-    single value is used as-is, and the exact distance is computed only when
-    the interval straddles the boundary.  Triangle pruning then composes with
-    the interval: subtree-descent tests fall back to the ``[lower, upper]``
-    window whenever the exact query–vantage distance was never paid for.
-    Results are identical to the resolver-less index; only the number of
-    exact distance evaluations changes.
     """
 
-    def __init__(
-        self,
-        items: Sequence[Any],
-        distance: DistanceFn,
-        resolver: Optional[Any] = None,
-    ) -> None:
+    def __init__(self, items: Sequence[Any], distance: DistanceFn) -> None:
         if not items:
             raise IndexingError("cannot build an index over an empty item list")
         self._items = list(items)
         self._distance = distance
-        self._resolver = resolver
         self.last_query_distance_calls = 0
 
     @property
@@ -64,72 +36,15 @@ class MetricIndexBase(ABC):
         self.last_query_distance_calls += 1
         return self._distance(a, b)
 
-    def _interval(self, query: Any, item: Any) -> Optional[Any]:
-        """Cheap bound interval for a pair, or ``None`` without a resolver."""
-        if self._resolver is None:
-            return None
-        return self._resolver.bounds(query, item)
-
-    def _resolve_within(
-        self, query: Any, item: Any, limit: float, interval: Optional[Any] = None
-    ) -> Optional[float]:
-        """Return the exact distance of ``item``, or ``None`` when excluded.
-
-        With a resolver, the interval tiers run first: a lower bound beyond
-        ``limit`` excludes the item without an exact evaluation (the pruning
-        is credited to the responsible tier), coinciding bounds return the
-        pinned value for free, and only a straddling interval falls through
-        to the exact distance.  Pass ``interval`` when the caller already
-        evaluated the bounds, so they are never computed (or counted) twice.
-        """
-        if self._resolver is not None:
-            if interval is None:
-                interval = self._resolver.bounds(query, item)
-            if interval.lower > limit:
-                self._resolver.record_pruned(interval)
-                return None
-            if interval.exact:
-                self._resolver.record_decided(interval)
-                return interval.lower
-        return self._measure(query, item)
-
-    def _distance_window(
-        self, query: Any, item: Any, limit: float
-    ) -> Tuple[float, float, Optional[float]]:
-        """Narrow ``d(query, item)`` to ``(lower, upper, exact_or_None)``.
-
-        The shared workhorse of the tree indexes' hybrid traversals: without
-        a resolver the exact distance is always paid (a degenerate window);
-        with one, the exact evaluation is skipped when the interval already
-        proves the item cannot beat ``limit`` — the caller's subtree tests
-        then run on the ``[lower, upper]`` window instead of a point.
-        """
-        interval = self._interval(query, item)
-        if interval is not None:
-            if interval.exact:
-                self._resolver.record_decided(interval)
-                return interval.lower, interval.lower, interval.lower
-            if interval.lower > limit:
-                self._resolver.record_pruned(interval)
-                return interval.lower, interval.upper, None
-        distance = self._measure(query, item)
-        return distance, distance, distance
-
-    def knn(self, query: Any, k: int, tau_hint: Optional[float] = None) -> List[Tuple[Any, float]]:
+    def knn(self, query: Any, k: int) -> List[Tuple[Any, float]]:
         """Return the ``k`` indexed items closest to ``query`` with distances.
-
-        ``tau_hint``, when given, must be a *valid* upper bound on the k-th
-        nearest distance (e.g. the k-th smallest summary upper bound); the
-        search threshold starts there instead of at infinity, which lets
-        pruning bite before ``k`` candidates have been evaluated.  An invalid
-        hint silently drops true neighbors — callers must guarantee it.
 
         Resets ``last_query_distance_calls`` before delegating to the
         implementation, so the counter always reflects exactly one query and
         no subclass can forget the reset and report accumulated totals.
         """
         self.last_query_distance_calls = 0
-        return self._knn(query, k, tau_hint)
+        return self._knn(query, k)
 
     def range_search(self, query: Any, radius: float) -> List[Tuple[Any, float]]:
         """Return every indexed item within ``radius`` of ``query``.
@@ -140,9 +55,7 @@ class MetricIndexBase(ABC):
         return self._range_search(query, radius)
 
     @abstractmethod
-    def _knn(
-        self, query: Any, k: int, tau_hint: Optional[float] = None
-    ) -> List[Tuple[Any, float]]:
+    def _knn(self, query: Any, k: int) -> List[Tuple[Any, float]]:
         """Implementation hook for :meth:`knn` (counter already reset)."""
 
     @abstractmethod

@@ -4,18 +4,13 @@ Feature-based similarities cannot use metric indexes (their distances do not
 satisfy the metric properties across pairs), so every query degenerates to a
 scan of all candidates — the behaviour this class models.  It also serves as
 the ground truth the VP-tree results are checked against in the tests.
-
-With an optional ``resolver`` hook (see
-:class:`~repro.index.knn.MetricIndexBase`), the scan still touches every
-item but resolves each one through the cheap interval tiers first, paying
-for an exact distance only when the interval straddles the running
-threshold — results identical to the plain scan, fewer exact evaluations.
+It needs no triangle inequality, so it is exact under any distance.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Any, List, Optional, Tuple
+from typing import Any, List, Tuple
 
 from repro.exceptions import IndexingError
 from repro.index.knn import MetricIndexBase
@@ -24,9 +19,7 @@ from repro.index.knn import MetricIndexBase
 class LinearScanIndex(MetricIndexBase):
     """Answers kNN and range queries by evaluating every indexed item."""
 
-    def _knn(
-        self, query: Any, k: int, tau_hint: Optional[float] = None
-    ) -> List[Tuple[Any, float]]:
+    def _knn(self, query: Any, k: int) -> List[Tuple[Any, float]]:
         """Return the ``k`` closest items by scanning all of them.
 
         Ties at the ``k``-th cut are broken by scan (build) order, exactly
@@ -34,18 +27,11 @@ class LinearScanIndex(MetricIndexBase):
         """
         if k <= 0:
             raise IndexingError(f"k must be positive, got {k}")
-        hint = float("inf") if tau_hint is None else float(tau_hint)
         # Max-heap of (-distance, -index): the root is the lexicographically
         # largest (distance, index) pair, so eviction matches nsmallest.
         best: List[Tuple[float, int]] = []
-
-        def tau() -> float:
-            return min(hint, -best[0][0]) if len(best) == k else hint
-
         for index, item in enumerate(self._items):
-            distance = self._resolve_within(query, item, tau())
-            if distance is None:
-                continue
+            distance = self._measure(query, item)
             entry = (-distance, -index)
             if len(best) < k:
                 heapq.heappush(best, entry)
@@ -60,8 +46,8 @@ class LinearScanIndex(MetricIndexBase):
             raise IndexingError(f"radius must be non-negative, got {radius}")
         result = []
         for item in self._items:
-            distance = self._resolve_within(query, item, radius)
-            if distance is not None and distance <= radius:
+            distance = self._measure(query, item)
+            if distance <= radius:
                 result.append((item, distance))
         result.sort(key=lambda pair: pair[1])
         return result

@@ -13,14 +13,6 @@ distance is an arbitrary metric callable (NED over k-adjacent trees in the
 experiments).  ``last_query_distance_calls`` exposes the number of distance
 evaluations, which is the cost measure that matters when each distance is a
 TED* computation.
-
-With an optional ``resolver`` hook (see
-:class:`~repro.index.knn.MetricIndexBase`), the tree becomes a *hybrid*
-bound+triangle index: every query–item distance is first narrowed to a cheap
-``[lower, upper]`` summary interval, items whose lower bound already exceeds
-the pruning threshold never pay for an exact distance, and the triangle
-subtree tests run on the interval when the exact vantage distance was
-skipped.  Results stay identical; only the exact-evaluation count drops.
 """
 
 from __future__ import annotations
@@ -53,6 +45,11 @@ class _VPNode:
 class VPTree(MetricIndexBase):
     """Vantage-point tree over arbitrary items under a metric distance.
 
+    At k >= 4, triangle pruning may miss neighbours: TED* as computed here
+    breaks the triangle inequality there (see
+    ``test_triangle_inequality_witness_at_k4``).  The linear index and the
+    engine's ``bound-prune`` mode are exact at every k.
+
     Parameters
     ----------
     items:
@@ -64,11 +61,6 @@ class VPTree(MetricIndexBase):
     seed:
         Seed controlling vantage-point selection (kept deterministic so
         experiments are reproducible).
-    resolver:
-        Optional interval hook enabling hybrid bound+triangle pruning (see
-        :class:`~repro.index.knn.MetricIndexBase`).  Construction always
-        uses exact distances — the tree geometry must be true — so the hook
-        only affects queries.
     """
 
     def __init__(
@@ -77,9 +69,8 @@ class VPTree(MetricIndexBase):
         distance: DistanceFn,
         leaf_size: int = 8,
         seed: RngLike = 0,
-        resolver: Optional[Any] = None,
     ) -> None:
-        super().__init__(items, distance, resolver=resolver)
+        super().__init__(items, distance)
         if leaf_size < 1:
             raise IndexingError(f"leaf_size must be >= 1, got {leaf_size}")
         self._leaf_size = leaf_size
@@ -120,37 +111,17 @@ class VPTree(MetricIndexBase):
         return node
 
     # --------------------------------------------------------------- queries
-    def _leaf_windows(self, query: Any, node: _VPNode) -> List[Tuple[Optional[Any], Any]]:
-        """Bucket items with their intervals, in resolution order.
-
-        With a resolver, each item's interval is evaluated exactly once and
-        the items are settled in ascending lower-bound order: the
-        likely-closest ones tighten the kNN threshold before the doubtful
-        ones are examined, so more of them are excluded by their interval
-        alone.
-        """
-        items = node.bucket or [node.vantage]
-        if self._resolver is None:
-            return [(None, item) for item in items]
-        windows = [(self._interval(query, item), item) for item in items]
-        windows.sort(key=lambda pair: pair[0].lower)
-        return windows
-
-    def _knn(
-        self, query: Any, k: int, tau_hint: Optional[float] = None
-    ) -> List[Tuple[Any, float]]:
+    def _knn(self, query: Any, k: int) -> List[Tuple[Any, float]]:
         """Return the ``k`` indexed items closest to ``query``.
 
         Best-first traversal with best-bound pruning: subtrees are expanded
-        in ascending order of the least distance the triangle inequality (and
-        the summary intervals, when a resolver is present) allows them to
-        contain, and the walk stops as soon as that least distance exceeds
-        the current ``k``-th best (seeded from ``tau_hint`` when given) —
-        everything still unexpanded is provably worse.
+        in ascending order of the least distance the triangle inequality
+        allows them to contain, and the walk stops as soon as that least
+        distance exceeds the current ``k``-th best — everything still
+        unexpanded is provably worse.
         """
         if k <= 0:
             raise IndexingError(f"k must be positive, got {k}")
-        hint = math.inf if tau_hint is None else float(tau_hint)
         # Max-heap of (-distance, counter, item); counter breaks ties between
         # items that are not mutually comparable.
         best: List[Tuple[float, int, Any]] = []
@@ -165,7 +136,7 @@ class VPTree(MetricIndexBase):
             counter += 1
 
         def tau() -> float:
-            return min(hint, -best[0][0]) if len(best) == k else hint
+            return -best[0][0] if len(best) == k else math.inf
 
         # Min-heap of (gap, sequence, node): gap lower-bounds the distance of
         # every item in the subtree, so the smallest-gap entry is always the
@@ -185,20 +156,17 @@ class VPTree(MetricIndexBase):
             if gap > tau():
                 break
             if node.is_leaf:
-                for interval, item in self._leaf_windows(query, node):
-                    distance = self._resolve_within(query, item, tau(), interval=interval)
-                    if distance is not None:
-                        offer(item, distance)
+                for item in (node.bucket or [node.vantage]):
+                    offer(item, self._measure(query, item))
                 continue
-            lower, upper, distance = self._distance_window(query, node.vantage, tau())
-            if distance is not None:
-                offer(node.vantage, distance)
-            # Triangle pruning on whatever is known about d(query, vantage):
-            # items inside the ball are at least lower - radius away, items
-            # outside at least radius - upper away.  A child inherits the
-            # tighter of its own gap and the parent's.
-            push(node.inside, max(gap, lower - node.radius))
-            push(node.outside, max(gap, node.radius - upper))
+            distance = self._measure(query, node.vantage)
+            offer(node.vantage, distance)
+            # Triangle pruning: items inside the ball are at least
+            # distance - radius away, items outside at least radius -
+            # distance away.  A child inherits the tighter of its own gap
+            # and the parent's.
+            push(node.inside, max(gap, distance - node.radius))
+            push(node.outside, max(gap, node.radius - distance))
 
         ordered = sorted(((-negative, item) for negative, _, item in best), key=lambda p: p[0])
         return [(item, distance) for distance, item in ordered]
@@ -214,16 +182,16 @@ class VPTree(MetricIndexBase):
                 return
             if node.is_leaf:
                 for item in (node.bucket or [node.vantage]):
-                    distance = self._resolve_within(query, item, radius)
-                    if distance is not None and distance <= radius:
+                    distance = self._measure(query, item)
+                    if distance <= radius:
                         matches.append((item, distance))
                 return
-            lower, upper, distance = self._distance_window(query, node.vantage, radius)
-            if distance is not None and distance <= radius:
+            distance = self._measure(query, node.vantage)
+            if distance <= radius:
                 matches.append((node.vantage, distance))
-            if lower - radius <= node.radius:
+            if distance - radius <= node.radius:
                 visit(node.inside)
-            if upper + radius >= node.radius:
+            if distance + radius >= node.radius:
                 visit(node.outside)
 
         visit(self._root)

@@ -31,6 +31,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Type
 
+from repro.engine.matrix import MODES as MATRIX_MODES
+from repro.engine.search import INDEX_BACKENDS, SEARCH_MODES
 from repro.engine.session import (
     CrossMatrixPlan,
     KnnPlan,
@@ -247,6 +249,16 @@ def _optional_str(obj: Dict[str, Any], field: str, what: str) -> Optional[str]:
         raise WireFormatError(f"{what}.{field} must be a string or null")
     return value
 
+def _optional_choice(
+    obj: Dict[str, Any], field: str, what: str, choices: Sequence[str]
+) -> Optional[str]:
+    value = _optional_str(obj, field, what)
+    if value is not None and value not in choices:
+        raise WireFormatError(
+            f"{what}.{field} {value!r} is not one of {list(choices)}"
+        )
+    return value
+
 def _optional_float(obj: Dict[str, Any], field: str, what: str) -> Optional[float]:
     value = obj.get(field)
     if value is None:
@@ -402,13 +414,16 @@ def decode_plan(obj: Any, k: int) -> Plan:
         )
     _check_fields(record, _PLAN_FIELDS[kind], f"wire plan {kind!r}")
     what = f"wire plan {kind!r}"
-    mode = _optional_str(record, F_MODE, what)
+    point = kind in (KIND_KNN, KIND_RANGE, KIND_TOPL)
+    mode = _optional_choice(
+        record, F_MODE, what, SEARCH_MODES if point else MATRIX_MODES
+    )
     if kind == KIND_KNN:
         return KnnPlan(
             probe=decode_probe(record.get(F_PROBE), k),
             count=_required_int(record, F_COUNT, what),
             mode=mode,
-            index=_optional_str(record, F_INDEX, what),
+            index=_optional_choice(record, F_INDEX, what, INDEX_BACKENDS),
         )
     if kind == KIND_RANGE:
         radius = _optional_float(record, F_RADIUS, what)
@@ -418,7 +433,7 @@ def decode_plan(obj: Any, k: int) -> Plan:
             probe=decode_probe(record.get(F_PROBE), k),
             radius=radius,
             mode=mode,
-            index=_optional_str(record, F_INDEX, what),
+            index=_optional_choice(record, F_INDEX, what, INDEX_BACKENDS),
         )
     if kind == KIND_TOPL:
         return TopLPlan(

@@ -12,8 +12,8 @@
   level-size, degree-multiset) plus the relations among the three distances
   (Section 11: GED ≤ 2·TED*, TED ≤ δ_T(W+)).
 * :mod:`repro.ted.resolver` — :class:`BoundedNedDistance`, the staged
-  distance-resolution cascade consumed by the engine and the hybrid metric
-  indexes; resolves pairs one at a time (:meth:`~repro.ted.resolver.
+  distance-resolution cascade consumed by the engine's matrices and
+  bound-pruned searches; resolves pairs one at a time (:meth:`~repro.ted.resolver.
   BoundedNedDistance.resolve`) or in blocks (:meth:`~repro.ted.resolver.
   BoundedNedDistance.resolve_many`).
 * :mod:`repro.ted.batch` — the array-native batch TED* kernel: stores are

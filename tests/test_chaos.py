@@ -18,7 +18,6 @@ reproduces locally with the printed seed.
 """
 
 import asyncio
-import importlib.util
 import os
 import shutil
 import warnings
@@ -45,11 +44,10 @@ from repro.resilience import (
     ResiliencePolicy,
     ResilienceWarning,
 )
+from repro.ted.batch import batch_available
 
 #: Seeded fault schedules this run sweeps (CI sets several; see ci.yml).
 SEEDS = [int(token) for token in os.environ.get("REPRO_CHAOS_SEEDS", "0").split(",")]
-
-HAVE_SCIPY = importlib.util.find_spec("scipy") is not None
 
 
 @pytest.fixture(scope="module")
@@ -173,7 +171,9 @@ class TestPersistentCorruptionSurfacesTyped:
         assert snapshot["resilience"]["sidecar_cold_starts"] == 1
 
 
-@pytest.mark.skipif(not HAVE_SCIPY, reason="degradation ladder needs scipy tiers")
+@pytest.mark.skipif(
+    not batch_available(), reason="the degradation ladder starts at the batch kernel"
+)
 class TestExactTierDegradation:
     """Breaker-guarded ladder: batch kernel -> per-pair scipy -> hungarian."""
 

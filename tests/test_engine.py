@@ -427,6 +427,8 @@ class TestNedSearchEngine:
         with pytest.raises(IndexingError):
             NedSearchEngine(ba_store, mode="clairvoyant")
         with pytest.raises(IndexingError):
+            NedSearchEngine(ba_store, mode="hybrid")
+        with pytest.raises(IndexingError):
             NedSearchEngine(ba_store, index="quadtree")
         engine = NedSearchEngine(ba_store)
         probe = object()
@@ -440,8 +442,8 @@ class TestNedSearchEngine:
             engine.top_l_candidates(ba_store.tree(0), 0)
 
 
-class TestHybridEngine:
-    """Hybrid bound+triangle indexes: identical results, fewer exact evals."""
+class TestBoundTiers:
+    """The degree tier only ever removes exact work; tier names are checked."""
 
     @pytest.fixture(scope="class")
     def workload(self):
@@ -449,65 +451,6 @@ class TestHybridEngine:
         store = TreeStore.from_graph(graph, k=3)
         queries = grid_road_graph(6, 6, seed=31)
         return store, queries
-
-    def test_hybrid_knn_distances_match_scan(self, workload):
-        store, queries = workload
-        scan = NedSearchEngine(store, mode="exact", index="linear")
-        for backend in ("vptree", "bktree", "linear"):
-            hybrid = NedSearchEngine(store, mode="hybrid", index=backend)
-            for query_node in list(queries.nodes())[:4]:
-                probe = scan.probe(queries, query_node)
-                expected = [d for _, d in scan.knn(probe, 5)]
-                assert [d for _, d in hybrid.knn(probe, 5)] == expected
-
-    def test_hybrid_range_and_top_l_match_scan(self, workload):
-        store, queries = workload
-        scan = NedSearchEngine(store, mode="exact", index="linear")
-        hybrid = NedSearchEngine(store, mode="hybrid", index="vptree")
-        for query_node in list(queries.nodes())[:3]:
-            probe = scan.probe(queries, query_node)
-            assert sorted(hybrid.range_search(probe, 9.0)) == sorted(
-                scan.range_search(probe, 9.0)
-            )
-            assert hybrid.top_l_candidates(probe, 6) == scan.top_l_candidates(probe, 6)
-
-    def test_hybrid_beats_triangle_only_and_level_size_scan(self, workload):
-        """The headline claim: hybrid pruning needs strictly fewer exact
-        TED* evaluations than both the triangle-only VP-tree and the PR-1
-        level-size bound-prune scan.  The cache stays off: this measures
-        touched pairs per pruning regime, not distinct signature pairs."""
-        store, queries = workload
-        triangle = NedSearchEngine(store, mode="exact", index="vptree", cache_size=0)
-        level_size_scan = NedSearchEngine(
-            store, mode="bound-prune", tiers=("signature", "level-size"), cache_size=0
-        )
-        hybrid = NedSearchEngine(store, mode="hybrid", index="vptree", cache_size=0)
-        totals = {"triangle": 0, "level-size-scan": 0, "hybrid": 0}
-        for query_node in list(queries.nodes())[:8]:
-            probe = triangle.probe(queries, query_node)
-            reference = [d for _, d in triangle.knn(probe, 5)]
-            assert [d for _, d in level_size_scan.knn(probe, 5)] == reference
-            assert [d for _, d in hybrid.knn(probe, 5)] == reference
-            totals["triangle"] += triangle.last_query_distance_calls
-            totals["level-size-scan"] += level_size_scan.last_query_distance_calls
-            totals["hybrid"] += hybrid.last_query_distance_calls
-        assert totals["hybrid"] < totals["triangle"]
-        assert totals["hybrid"] < totals["level-size-scan"]
-
-    def test_hybrid_per_tier_counters_are_recorded(self, workload):
-        store, queries = workload
-        hybrid = NedSearchEngine(store, mode="hybrid", index="vptree")
-        probe = hybrid.probe(queries, 0)
-        hybrid.knn(probe, 5)
-        counters = hybrid.last_query_stats.counters
-        assert counters.pairs_considered == len(store)
-        assert counters.level_size_evaluations > 0
-        assert counters.pruned_by_lower_bound > 0
-        # Conservation: nothing is both paid for exactly and skipped.
-        assert (
-            counters.exact_evaluations + counters.exact_evaluations_avoided
-            <= counters.pairs_considered
-        )
 
     def test_degree_tier_never_pays_more_than_level_size_only(self, workload):
         store, queries = workload
@@ -528,22 +471,6 @@ class TestHybridEngine:
 
         with pytest.raises(DistanceError):
             pairwise_distance_matrix(store, mode="bound-prune", tiers=("exact",))
-
-    @settings(max_examples=6, deadline=None)
-    @given(
-        nodes=st.integers(min_value=10, max_value=40),
-        seed=st.integers(min_value=0, max_value=10**6),
-        count=st.integers(min_value=1, max_value=6),
-    )
-    def test_hybrid_identical_to_scan_property(self, nodes, seed, count):
-        graph = erdos_renyi_graph(nodes, 0.1, seed=seed)
-        store = TreeStore.from_graph(graph, k=3)
-        scan = NedSearchEngine(store, mode="exact", index="linear")
-        probe = scan.probe(graph, graph.nodes()[0])
-        expected = [d for _, d in scan.knn(probe, count)]
-        for backend in ("vptree", "bktree"):
-            hybrid = NedSearchEngine(store, mode="hybrid", index=backend)
-            assert [d for _, d in hybrid.knn(probe, count)] == expected
 
 
 class TestEngineDeanonymization:

@@ -111,23 +111,25 @@ class TestFigure9:
         assert row["ned_vptree_distance_evaluations"] <= row["feature_distance_evaluations"]
         assert row["ned_vptree_query_time"] <= row["ned_scan_query_time"] * 1.5
 
-    def test_tier_ablation_hybrid_beats_both_baselines(self):
-        """Acceptance: on the Fig 9b workload, the hybrid bound+triangle
-        VP-tree pays strictly fewer exact TED* evaluations than both the
-        triangle-only VP-tree and the PR-1 level-size bound-prune scan
-        (the driver itself asserts all regimes return identical results)."""
+    def test_tier_ablation_degree_scan_beats_triangle_only(self):
+        """Acceptance: on the Fig 9b workload, the degree-multiset
+        bound-prune scan pays strictly fewer exact TED* evaluations than the
+        paper's triangle-only VP-tree (the driver itself asserts all regimes
+        return identical results)."""
         table = figure9b_tier_ablation(candidate_count=80, query_count=4, scale=0.3)
         rows = {row["configuration"]: row for row in table.rows}
-        hybrid = rows["hybrid vptree"]["exact_evals_per_query"]
-        assert hybrid < rows["vptree triangle-only"]["exact_evals_per_query"]
-        assert hybrid < rows["scan level-size"]["exact_evals_per_query"]
+        scan = rows["scan degree-multiset"]
+        assert (
+            scan["exact_evals_per_query"]
+            < rows["vptree triangle-only"]["exact_evals_per_query"]
+        )
         # The per-tier counters must show where evaluations were skipped.
         assert (
-            rows["hybrid vptree"]["pruned_level_size"]
-            + rows["hybrid vptree"]["pruned_degree"]
-            + rows["hybrid vptree"]["signature_hits"]
-            + rows["hybrid vptree"]["decided_level_size"]
-            + rows["hybrid vptree"]["decided_degree"]
+            scan["pruned_level_size"]
+            + scan["pruned_degree"]
+            + scan["signature_hits"]
+            + scan["decided_level_size"]
+            + scan["decided_degree"]
         ) > 0
         # The degree tier tightens the scan beyond level-size alone.
         assert (

@@ -128,92 +128,8 @@ class TestVPTreeOverTedStar:
         assert all(d >= 0 for _, d in range_query(index, trees[0], 2.0))
 
 
-class _StubResolver:
-    """Interval hook over numbers: a ±slack window around the true distance.
-
-    Mimics the duck-typed interface of
-    :class:`repro.ted.resolver.BoundedNedDistance` so the hybrid index paths
-    can be exercised without trees: ``bounds`` widens the exact distance into
-    an interval (collapsing it for multiples of ``exact_every``, modelling
-    signature hits / coinciding bounds) and the ``record_*`` callbacks count
-    outcomes.
-    """
-
-    def __init__(self, slack=3.0, exact_every=None):
-        self.slack = slack
-        self.exact_every = exact_every
-        self.bound_calls = 0
-        self.pruned = 0
-        self.decided = 0
-
-    def bounds(self, query, item):
-        from repro.ted.resolver import ResolutionInterval
-
-        self.bound_calls += 1
-        distance = abs(query - item)
-        if self.exact_every and int(item) % self.exact_every == 0:
-            return ResolutionInterval(distance, distance, "level-size")
-        return ResolutionInterval(
-            max(0.0, distance - self.slack), distance + self.slack, "level-size"
-        )
-
-    def record_pruned(self, interval):
-        self.pruned += 1
-
-    def record_decided(self, interval):
-        self.decided += 1
-
-
-class TestHybridResolverHook:
-    """Interval-aware indexes: identical results, fewer exact evaluations."""
-
-    @pytest.fixture
-    def indexes(self, number_items):
-        from repro.index.bktree import BKTree
-
-        def build(cls, **kwargs):
-            plain = cls(number_items, absolute_difference, **kwargs)
-            stub = _StubResolver(slack=4.0, exact_every=7)
-            hybrid = cls(number_items, absolute_difference, resolver=stub, **kwargs)
-            return plain, hybrid, stub
-
-        return {
-            "linear": build(LinearScanIndex),
-            "vptree": build(VPTree, leaf_size=4, seed=3),
-            "bktree": build(BKTree),
-        }
-
-    def test_knn_distances_identical_with_fewer_exact_calls(self, indexes):
-        for name, (plain, hybrid, stub) in indexes.items():
-            for query in (0.0, 123.0, 500.5, 999.0):
-                expected = [d for _, d in plain.knn(query, 5)]
-                got = [d for _, d in hybrid.knn(query, 5)]
-                assert got == expected, name
-                assert hybrid.last_query_distance_calls <= plain.last_query_distance_calls
-            assert stub.pruned > 0, name
-
-    def test_range_results_identical(self, indexes):
-        for name, (plain, hybrid, _) in indexes.items():
-            expected = sorted(plain.range_search(250.0, 30.0))
-            assert sorted(hybrid.range_search(250.0, 30.0)) == expected, name
-            assert hybrid.last_query_distance_calls <= plain.last_query_distance_calls
-
-    def test_exact_intervals_skip_measurement(self, number_items):
-        stub = _StubResolver(slack=0.0)  # every interval collapses
-        index = LinearScanIndex(number_items, absolute_difference, resolver=stub)
-        result = index.knn(100.0, 5)
-        assert index.last_query_distance_calls == 0
-        plain = LinearScanIndex(number_items, absolute_difference)
-        assert [d for _, d in result] == [d for _, d in plain.knn(100.0, 5)]
-
-    def test_valid_tau_hint_preserves_results(self, number_items):
-        plain = VPTree(number_items, absolute_difference, leaf_size=4, seed=3)
-        expected = plain.knn(300.0, 4)
-        # The true 4th-nearest distance is always a valid hint.
-        hint = expected[-1][1]
-        assert plain.knn(300.0, 4, tau_hint=hint) == expected
-        scan = LinearScanIndex(number_items, absolute_difference)
-        assert scan.knn(300.0, 4, tau_hint=hint) == expected
+class TestIndexesAgreeWithScan:
+    """Plain VP-/BK-tree answers equal the scan's under a true metric."""
 
     def test_property_randomized_workloads(self):
         from repro.index.bktree import BKTree
@@ -231,10 +147,9 @@ class TestHybridResolverHook:
                 (BKTree, {}),
                 (LinearScanIndex, {}),
             ):
-                stub = _StubResolver(slack=float(rng.randint(0, 5)), exact_every=5)
-                hybrid = cls(items, absolute_difference, resolver=stub, **kwargs)
-                assert [d for _, d in hybrid.knn(query, k)] == expected, (cls, seed)
+                index = cls(items, absolute_difference, **kwargs)
+                assert [d for _, d in index.knn(query, k)] == expected, (cls, seed)
                 radius = float(rng.randint(0, 60))
-                assert sorted(d for _, d in hybrid.range_search(query, radius)) == sorted(
+                assert sorted(d for _, d in index.range_search(query, radius)) == sorted(
                     d for _, d in scan.range_search(query, radius)
                 ), (cls, seed)

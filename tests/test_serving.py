@@ -127,7 +127,7 @@ def wire_plans(draw):
             draw(probes()), draw(st.integers(min_value=1, max_value=16)), mode=mode
         )
     return PairwiseMatrixPlan(
-        mode=draw(st.sampled_from(["exact", "hybrid"])),
+        mode=draw(st.sampled_from(["exact", "bound-prune"])),
         threshold=draw(
             st.one_of(
                 st.none(),
@@ -200,6 +200,16 @@ class TestProtocolRejections:
         encoded[protocol.F_KIND] = "teleport"
         with pytest.raises(WireFormatError, match="teleport"):
             protocol.decode_plan(encoded, K)
+
+    def test_unknown_mode_or_index_is_typed(self, demo_graph):
+        probe = _probe(demo_graph, 0)
+        for plan in (
+            KnnPlan(probe, 3, mode="hybrid"),
+            KnnPlan(probe, 3, index="quadtree"),
+            PairwiseMatrixPlan(mode="hybrid"),
+        ):
+            with pytest.raises(WireFormatError, match="hybrid|quadtree"):
+                protocol.decode_plan(protocol.encode_plan(plan), K)
 
     def test_empty_plan_list_is_typed(self):
         payload = {
@@ -550,6 +560,18 @@ class TestService:
                 client.execute(KnnPlan(probe, 3))
             # Third request: the one-shot faults are spent, service recovers.
             assert client.execute(KnnPlan(probe, 3))
+
+    def test_unknown_mode_is_answered_typed(self, demo_graph, demo_store):
+        from repro.serving.client import NedServiceClient
+        from repro.serving.server import NedServiceServer
+
+        session = NedSession(demo_store)
+        probe = session.probe(demo_graph, 0)
+        with NedServiceServer(session, workers=0) as server:
+            client = NedServiceClient(port=server.port)
+            with pytest.raises(WireFormatError, match="hybrid"):
+                client.execute(KnnPlan(probe, 3, mode="hybrid"))
+            assert client.execute(KnnPlan(probe, 3, mode="bound-prune"))
 
     def test_malformed_payloads_are_typed_not_500(self, demo_store):
         import http.client

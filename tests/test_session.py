@@ -166,8 +166,8 @@ class TestPlanExecution:
             probe = session.probe(graph, 0)
             default = session.knn(probe, 4)
             assert session.knn(probe, 4, mode="exact", index="linear") == default
-            hybrid = session.knn(probe, 4, mode="hybrid", index="vptree")
-            assert [d for _, d in hybrid] == [d for _, d in default]
+            vptree = session.knn(probe, 4, mode="exact", index="vptree")
+            assert [d for _, d in vptree] == [d for _, d in default]
 
     def test_engines_are_cached_per_configuration(self, store):
         with NedSession(store) as session:
@@ -394,8 +394,8 @@ class TestClosedFormSession:
             probe = session.probe(graph, 0)
             default = session.knn(probe, 4)
             assert session.knn(probe, 4, mode="exact", index="linear") == default
-            hybrid = session.knn(probe, 4, mode="hybrid", index="vptree")
-            assert [d for _, d in hybrid] == [d for _, d in default]
+            vptree = session.knn(probe, 4, mode="exact", index="vptree")
+            assert [d for _, d in vptree] == [d for _, d in default]
             assert session.top_l(probe, 5, mode="exact") == session.top_l(probe, 5)
 
 

@@ -112,6 +112,27 @@ def test_triangle_inequality(first, second, third):
     assert d_xz <= d_xy + d_yz + 1e-9
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 5")
+@pytest.mark.parametrize("backend", ["hungarian", "scipy"])
+def test_triangle_inequality_witness_at_k4(backend):
+    """The smallest known triple where TED* as computed breaks the triangle
+    inequality: scipy gives d(0, 24) = 9 > d(0, 15) + d(15, 24) = 1 + 7,
+    hungarian gives 10 > 1 + 7.  A fix to the definition must remove the
+    marker."""
+    if backend == "scipy":
+        pytest.importorskip("scipy")
+    from repro.graph.generators import erdos_renyi_graph
+    from repro.trees.adjacent import k_adjacent_tree
+
+    graph = erdos_renyi_graph(60, 0.06, seed=4)
+    trees = {node: k_adjacent_tree(graph, node, 4) for node in (0, 24, 15)}
+
+    def distance(first, second):
+        return ted_star(trees[first], trees[second], k=4, backend=backend)
+
+    assert distance(0, 24) <= distance(0, 15) + distance(15, 24)
+
+
 @settings(max_examples=60, deadline=None)
 @given(bounded_trees(), bounded_trees())
 def test_values_are_integers(first, second):
