@@ -19,6 +19,14 @@ modes differ only in *which* pruning machinery drives it:
   skipping: the cascade's interval resolves candidates outright when it can,
   a static threshold (the count-th smallest upper bound) discards candidates
   before any exact work, and a dynamic threshold tightens as results come in.
+  With a batch kernel attached (``resolver.batch_active``), every interval
+  of a query comes from one store-wide
+  :meth:`~repro.ted.resolver.BoundedNedDistance.survey` (a few numpy
+  operations), and a range query's open candidates go to the exact tier
+  as one :meth:`~repro.ted.resolver.BoundedNedDistance.resolve_many` block.
+  Without one, the per-pair reference route calls ``bounds()`` (or
+  ``resolve()``) once per candidate.  Both routes return the same bits and
+  add the same resolver counters.
 
 A third mode, ``"hybrid"`` (summary intervals threaded through the VP-/BK-
 tree traversals), was retired: on the Figure 9b datasets it never paid fewer
@@ -255,12 +263,15 @@ class NedSearchEngine:
         probe = self._coerce(query)
         if self.mode == "bound-prune":
             with self._query_window() as counters:
-                matches: List[Tuple[Node, float]] = []
-                for entry in self._entries:
-                    value, _ = self._resolver.resolve(probe, entry, threshold=radius)
-                    if value is not None and value <= radius:
-                        matches.append((entry.node, value))
-                matches.sort(key=lambda pair: pair[1])
+                if self._resolver.batch_active:
+                    matches = self._surveyed_range(probe, radius)
+                else:
+                    matches = []
+                    for entry in self._entries:
+                        value, _ = self._resolver.resolve(probe, entry, threshold=radius)
+                        if value is not None and value <= radius:
+                            matches.append((entry.node, value))
+                    matches.sort(key=lambda pair: pair[1])
             self._record(counters)
             return matches
         index = self._get_index()
@@ -364,81 +375,198 @@ class NedSearchEngine:
         bound proves it cannot beat the current ``count``-th best *distance*,
         which is tie-break-agnostic (ties at the cut never involve pruned
         candidates, whose distances are strictly larger).
+
+        Two routes make the same decisions with the same counters.  With a
+        batch kernel attached (:attr:`BoundedNedDistance.batch_active`),
+        bound-pruned selection takes every interval from one store-wide
+        :meth:`~BoundedNedDistance.survey` (:meth:`_surveyed_select`).
+        Otherwise the per-pair reference route runs :meth:`bounds` for each
+        candidate in Python; it also serves the unpruned exact scan.
         """
-        entries = self._entries
         with self._query_window() as counters:
-            # Phase 1: cascade intervals for every candidate (skipped when
-            # not pruning — the exact scan is the reference path and pays
-            # full price).
-            surveyed: List[Tuple[float, float, int, StoredTree, Optional[ResolutionInterval]]]
-            if prune:
-                surveyed = [
-                    (interval.lower, interval.upper, position, entry, interval)
-                    for position, entry in enumerate(entries)
-                    for interval in (self._resolver.bounds(probe, entry),)
-                ]
+            if prune and self._resolver.batch_active:
+                best = self._surveyed_select(probe, count, tie_key)
             else:
-                surveyed = [
-                    (0.0, 0.0, position, entry, None)
-                    for position, entry in enumerate(entries)
-                ]
-
-            # Exact mode resolves every candidate anyway (no pruning, store
-            # order), so with a batch kernel attached the whole scan goes
-            # through the resolver at once: under closed_form (k <= 3) one
-            # bound survey pins every pair, with no cache or exact tier;
-            # otherwise the scan is one block through the cache and one
-            # array-native exact call.
-            precomputed: Optional[List[float]] = None
-            resolver = self._resolver
-            if not prune and resolver.batch_active and resolver.closed_form:
-                survey = resolver.survey(probe, self.store)
-                resolver.record_decided_many(survey, survey.closed)
-                precomputed = survey.lower.tolist()
-            elif not prune and resolver.batch_active and len(entries) > 1:
-                precomputed = [
-                    value
-                    for value, _ in resolver.resolve_many(
-                        [(probe, entry) for entry in entries], bounds=False
-                    )
-                ]
-
-            # Phase 2: static threshold — the count-th smallest upper bound
-            # is an achievable distance, so any larger lower bound is out
-            # already.
-            if prune and len(surveyed) > count:
-                uppers = sorted(upper for _, upper, _, _, _ in surveyed)
-                static_tau: float = uppers[count - 1]
-            else:
-                static_tau = float("inf")
-
-            # Phase 3: resolve candidates in ascending lower-bound order with
-            # a dynamically tightening threshold.
-            # Sorted ascending by (distance, tie); the unique position
-            # component keeps tuple comparison from ever reaching the node
-            # objects.
-            best: List[Tuple[float, object, int, Node]] = []
-
-            def current_tau() -> float:
-                return best[-1][0] if len(best) == count else float("inf")
-
-            for lower, upper, position, entry, interval in sorted(
-                surveyed, key=lambda item: (item[0], item[2])
-            ):
-                if interval is not None and lower > min(static_tau, current_tau()):
-                    self._resolver.record_pruned(interval)
-                    continue
-                if interval is not None and interval.exact:
-                    self._resolver.record_decided(interval)
-                    distance = interval.lower
-                elif precomputed is not None:
-                    distance = precomputed[position]
-                else:
-                    distance = self._exact(probe, entry)
-                candidate = (distance, tie_key(position, entry.node), position, entry.node)
-                if len(best) < count:
-                    bisect.insort(best, candidate)
-                elif candidate < best[-1]:
-                    bisect.insort(best, candidate)
-                    best.pop()
+                best = self._scanned_select(probe, count, tie_key, prune)
         return [(node, distance) for distance, _, _, node in best], counters
+
+    def _scanned_select(
+        self,
+        probe: StoredTree,
+        count: int,
+        tie_key: Callable[[int, Node], object],
+        prune: bool,
+    ) -> List[Tuple[float, object, int, Node]]:
+        """The per-pair reference route of :meth:`_pruned_select`."""
+        entries = self._entries
+        # Phase 1: cascade intervals for every candidate (skipped when
+        # not pruning — the exact scan is the reference path and pays
+        # full price).
+        surveyed: List[Tuple[float, float, int, StoredTree, Optional[ResolutionInterval]]]
+        if prune:
+            surveyed = [
+                (interval.lower, interval.upper, position, entry, interval)
+                for position, entry in enumerate(entries)
+                for interval in (self._resolver.bounds(probe, entry),)
+            ]
+        else:
+            surveyed = [
+                (0.0, 0.0, position, entry, None)
+                for position, entry in enumerate(entries)
+            ]
+
+        # Exact mode resolves every candidate anyway (no pruning, store
+        # order), so with a batch kernel attached the whole scan goes
+        # through the resolver at once: under closed_form (k <= 3) one
+        # bound survey pins every pair, with no cache or exact tier;
+        # otherwise the scan is one block through the cache and one
+        # array-native exact call.
+        precomputed: Optional[List[float]] = None
+        resolver = self._resolver
+        if not prune and resolver.batch_active and resolver.closed_form:
+            survey = resolver.survey(probe, self.store)
+            resolver.record_decided_many(survey, survey.closed)
+            precomputed = survey.lower.tolist()
+        elif not prune and resolver.batch_active and len(entries) > 1:
+            precomputed = [
+                value
+                for value, _ in resolver.resolve_many(
+                    [(probe, entry) for entry in entries], bounds=False
+                )
+            ]
+
+        # Phase 2: static threshold — the count-th smallest upper bound
+        # is an achievable distance, so any larger lower bound is out
+        # already.
+        if prune and len(surveyed) > count:
+            uppers = sorted(upper for _, upper, _, _, _ in surveyed)
+            static_tau: float = uppers[count - 1]
+        else:
+            static_tau = float("inf")
+
+        # Phase 3: resolve candidates in ascending lower-bound order with
+        # a dynamically tightening threshold.
+        # Sorted ascending by (distance, tie); the unique position
+        # component keeps tuple comparison from ever reaching the node
+        # objects.
+        best: List[Tuple[float, object, int, Node]] = []
+        for lower, upper, position, entry, interval in sorted(
+            surveyed, key=lambda item: (item[0], item[2])
+        ):
+            if interval is not None and lower > min(static_tau, _cut(best, count)):
+                self._resolver.record_pruned(interval)
+                continue
+            if interval is not None and interval.exact:
+                self._resolver.record_decided(interval)
+                distance = interval.lower
+            elif precomputed is not None:
+                distance = precomputed[position]
+            else:
+                distance = self._exact(probe, entry)
+            _offer(best, count, (distance, tie_key(position, entry.node), position, entry.node))
+        return best
+
+    def _surveyed_select(
+        self,
+        probe: StoredTree,
+        count: int,
+        tie_key: Callable[[int, Node], object],
+    ) -> List[Tuple[float, object, int, Node]]:
+        """The survey route of :meth:`_pruned_select`.
+
+        One :meth:`~BoundedNedDistance.survey` gives every interval.  The
+        static threshold is the ``count``-th smallest upper bound
+        (``np.partition``); every candidate whose lower bound exceeds it is
+        pruned in bulk.  Survivors then run the reference route's loop in
+        ascending ``(lower, position)`` order: closed intervals are decided,
+        open ones pay a per-pair exact evaluation, and the first survivor
+        above ``min(static, dynamic)`` ends the loop, since the dynamic
+        threshold only tightens and later lower bounds are no smaller.  At
+        ``k <= 3`` every survivor is closed, so the loop only visits the
+        candidates at or below the ``count``-th smallest distance (ties
+        included) plus the one that stops it.  Pruned and decided
+        candidates are credited through masks, once per query.
+        """
+        import numpy as np
+
+        resolver = self._resolver
+        entries = self._entries
+        survey = resolver.survey(probe, self.store)
+        if len(entries) > count:
+            static_tau = float(np.partition(survey.upper, count - 1)[count - 1])
+        else:
+            static_tau = float("inf")
+        pruned = survey.lower > static_tau
+        decided = np.zeros(len(entries), dtype=bool)
+        survivors = np.flatnonzero(~pruned)
+        order = survivors[np.argsort(survey.lower[survivors], kind="stable")].tolist()
+        lowers = survey.lower.tolist()
+        closed = survey.closed.tolist()
+        best: List[Tuple[float, object, int, Node]] = []
+        for rank, position in enumerate(order):
+            lower = lowers[position]
+            if lower > min(static_tau, _cut(best, count)):
+                pruned[order[rank:]] = True
+                break
+            if closed[position]:
+                decided[position] = True
+                distance = lower
+            else:
+                distance = self._exact(probe, entries[position])
+            node = entries[position].node
+            _offer(best, count, (distance, tie_key(position, node), position, node))
+        resolver.record_pruned_many(survey, pruned)
+        resolver.record_decided_many(survey, decided)
+        return best
+
+    def _surveyed_range(self, probe: StoredTree, radius: float) -> List[Tuple[Node, float]]:
+        """Bound-pruned range search on one store survey.
+
+        Candidates whose lower bound exceeds ``radius`` are pruned and
+        closed intervals are decided, both credited in bulk.  The open
+        candidates go, in store order, through one
+        :meth:`~BoundedNedDistance.resolve_many` block (cache, then the
+        batch kernel), with the counters a per-candidate :meth:`resolve`
+        loop makes.  Matches are sorted by distance, then store position,
+        as the reference route's stable sort leaves them.
+        """
+        import numpy as np
+
+        resolver = self._resolver
+        entries = self._entries
+        survey = resolver.survey(probe, self.store)
+        pruned = survey.lower > radius
+        closed = survey.closed & ~pruned
+        resolver.record_pruned_many(survey, pruned)
+        resolver.record_decided_many(survey, closed)
+        lowers = survey.lower.tolist()
+        matches = [(lowers[position], position) for position in np.flatnonzero(closed).tolist()]
+        pending = np.flatnonzero(~(pruned | closed)).tolist()
+        resolved = resolver.resolve_many(
+            [(probe, entries[position]) for position in pending], bounds=False
+        )
+        matches.extend(
+            (value, position)
+            for position, (value, _) in zip(pending, resolved)
+            if value <= radius
+        )
+        matches.sort()
+        return [(entries[position].node, distance) for distance, position in matches]
+
+
+def _cut(best: List[Tuple[float, object, int, Node]], count: int) -> float:
+    """The dynamic threshold: the ``count``-th best distance so far."""
+    return best[-1][0] if len(best) == count else float("inf")
+
+
+def _offer(
+    best: List[Tuple[float, object, int, Node]],
+    count: int,
+    candidate: Tuple[float, object, int, Node],
+) -> None:
+    """Keep ``best`` the ``count`` smallest candidates seen, sorted."""
+    if len(best) < count:
+        bisect.insort(best, candidate)
+    elif candidate < best[-1]:
+        bisect.insort(best, candidate)
+        best.pop()

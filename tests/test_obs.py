@@ -326,7 +326,8 @@ class TestSessionObservability:
         save_sharded(store, store_dir, shards=4)
         sharded = ShardedTreeStore.load(store_dir, max_resident=1)
         with NedSession(sharded) as session:
-            session.execute_batch(_knn_plans(session, graph, graph.nodes()[:6]))
+            plans = _knn_plans(session, graph, graph.nodes()[:6])
+            session.execute_batch(plans)
             snapshot = session.metrics_snapshot()
         shards = snapshot["shards"]
         assert shards["shard_count"] == 4
@@ -335,14 +336,24 @@ class TestSessionObservability:
         assert shards["resident"] == 1
         histograms = snapshot["histograms"]
         assert histograms["shards.load_seconds"]["count"] == shards["loads"]
+        # With the batch kernel, bound-pruned kNN takes its intervals from
+        # one store survey; without it, from the per-pair bound tiers.
+        bound_tier = (
+            "resolver.survey_seconds" if batch_available()
+            else "resolver.level_size_seconds"
+        )
         for name in (
-            "resolver.level_size_seconds",
+            bound_tier,
             "resolver.exact_seconds",
             "session.execute_batch_seconds",
             "search.query_seconds",
         ):
             assert histograms[name]["count"] > 0, name
             assert histograms[name]["p99"] is not None, name
+        if batch_available():
+            # One store survey per distinct bound-pruned kNN plan.
+            distinct = len(plans) - snapshot["batching"]["deduplicated_plans"]
+            assert histograms["resolver.survey_seconds"]["count"] == distinct
         assert snapshot["resolution"]["exact_evaluations"] > 0
         assert snapshot["batching"]["batches_executed"] == 1
 

@@ -1,0 +1,135 @@
+"""The survey route of bound-pruned search against the per-pair route.
+
+With a batch kernel attached, :class:`repro.engine.search.NedSearchEngine`
+takes every bound-prune interval of a kNN, top-L or range query from one
+store-wide :meth:`BoundedNedDistance.survey`.  A ``batch=False`` session over
+the same store runs the per-pair reference route (one ``bounds()`` or
+``resolve()`` call per candidate).  Both must return the same bits and add
+the same resolver counters; the histogram counts show which route ran.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.engine import NedSession, ShardedTreeStore, TreeStore, save_sharded
+from repro.graph.generators import barabasi_albert_graph, erdos_renyi_graph, grid_road_graph
+from repro.ted.batch import batch_available
+from repro.ted.resolver import LEVEL_SIZE_TIER, SIGNATURE_TIER
+
+pytestmark = pytest.mark.skipif(
+    not batch_available(), reason="the bound survey needs numpy and SciPy"
+)
+
+#: Store graphs: a tree-shaped graph and a regular grid, both with many
+#: repeated signatures, so the count-th distance is often tied, and a
+#: sparse graph whose isolated nodes close the level-size interval.
+GRAPHS = {
+    "tree": lambda: barabasi_albert_graph(20, 1, seed=3),
+    "grid": lambda: grid_road_graph(4, 5, 0.0, 0.0, seed=1),
+    "sparse": lambda: erdos_renyi_graph(20, 0.08, seed=3),
+}
+
+_stores = {}
+
+
+def _store(name: str, k: int) -> TreeStore:
+    if (name, k) not in _stores:
+        _stores[name, k] = TreeStore.from_graph(GRAPHS[name](), k)
+    return _stores[name, k]
+
+
+def _probes(store: TreeStore):
+    # A store entry (the signature tier pins its own row) and a foreign tree.
+    foreign = TreeStore.from_graph(erdos_renyi_graph(12, 0.2, seed=9), store.k)
+    return [store.entries()[0], foreign.entries()[3]]
+
+
+def _bits(answer):
+    assert all(type(distance) is float for _, distance in answer)
+    return [(node, distance.hex()) for node, distance in answer]
+
+
+def _queries(store, probe, radius):
+    counts = (1, 10, len(store), len(store) + 3)
+    return (
+        [("knn", count) for count in counts]
+        + [("top_l", count) for count in (1, 4, len(store))]
+        + [("range_search", value) for value in (0.0, radius, float("inf"))]
+    )
+
+
+def _run(session, kind, probe, argument):
+    before = session.resolver.counters.copy()
+    answer = getattr(session, kind)(probe, argument)
+    return _bits(answer), session.resolver.counters.since(before)
+
+
+# Without the degree tier, closed and open intervals mix at every k.
+@pytest.mark.parametrize("tiers", [None, (SIGNATURE_TIER, LEVEL_SIZE_TIER)])
+@pytest.mark.parametrize("graph", sorted(GRAPHS))
+@pytest.mark.parametrize("cache_size", [0, None])
+@pytest.mark.parametrize("sharded", [False, True])
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_survey_route_matches_the_per_pair_route(
+    graph, cache_size, sharded, k, tiers, tmp_path
+):
+    dense = _store(graph, k)
+    stores = [dense, dense]
+    if sharded:
+        save_sharded(dense, tmp_path, shards=3)
+        stores = [ShardedTreeStore.load(tmp_path, max_resident=1) for _ in range(2)]
+    with NedSession(dense, batch=False) as oracle:
+        probes = []
+        for probe in _probes(dense):
+            distances = sorted(d for _, d in oracle.knn(probe, len(dense)))
+            probes.append((probe, distances[len(distances) // 2]))
+    with NedSession(stores[0], cache_size=cache_size, tiers=tiers) as fast, \
+            NedSession(stores[1], cache_size=cache_size, tiers=tiers, batch=False) as slow:
+        assert fast.resolver.batch_active and not slow.resolver.batch_active
+        for probe, radius in probes:
+            for kind, argument in _queries(dense, probe, radius):
+                surveyed = _run(fast, kind, probe, argument)
+                reference = _run(slow, kind, probe, argument)
+                assert surveyed == reference, (kind, argument)
+        assert fast.stats.as_dict() == slow.stats.as_dict()
+
+
+def _histogram_counts(session):
+    histograms = session.metrics_snapshot()["histograms"]
+    return {
+        name: histograms.get(name, {}).get("count", 0)
+        for name in (
+            "resolver.survey_seconds",
+            "resolver.level_size_seconds",
+            "resolver.degree_seconds",
+            "resolver.exact_seconds",
+            "resolver.exact_batch_seconds",
+        )
+    }
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_each_bound_prune_query_takes_one_survey_and_no_per_pair_bounds(k):
+    store = _store("tree", k)
+    probe = _probes(store)[1]
+    with NedSession(store) as session:
+        for kind, argument in (("knn", 5), ("top_l", 5), ("range_search", 3.0)):
+            before = _histogram_counts(session)
+            getattr(session, kind)(probe, argument)
+            after = _histogram_counts(session)
+            assert after["resolver.survey_seconds"] - before["resolver.survey_seconds"] == 1
+            assert after["resolver.level_size_seconds"] == before["resolver.level_size_seconds"]
+            assert after["resolver.degree_seconds"] == before["resolver.degree_seconds"]
+
+
+def test_range_open_candidates_take_one_kernel_block_at_k4():
+    store = _store("tree", 4)
+    probe = _probes(store)[1]
+    with NedSession(store, cache_size=0) as session:
+        before = _histogram_counts(session)
+        session.range_search(probe, float("inf"))
+        after = _histogram_counts(session)
+        assert session.stats.exact_evaluations > 1
+    assert after["resolver.exact_batch_seconds"] - before["resolver.exact_batch_seconds"] == 1
+    assert after["resolver.exact_seconds"] == before["resolver.exact_seconds"]
