@@ -35,7 +35,6 @@ from repro.engine.stats import EngineStats
 from repro.engine.tree_store import TreeStore
 from repro.exceptions import ExperimentError
 from repro.graph.graph import Graph
-from repro.ted.resolver import DEFAULT_CACHE_SIZE
 from repro.utils.rng import RngLike, sample_distinct
 from repro.utils.validation import check_positive_int
 
@@ -172,7 +171,6 @@ def deanonymization_precision_with_engine(
     k: int,
     top_l: int,
     mode: str = "bound-prune",
-    backend: str = "auto",
     sample_size: Optional[int] = None,
     seed: RngLike = 0,
     candidate_nodes: Optional[Sequence[Node]] = None,
@@ -209,7 +207,7 @@ def deanonymization_precision_with_engine(
                 f"training_store was built with k={training_store.k}, expected k={k}"
             )
         store = training_store.subset(candidates)
-    engine = NedSearchEngine(store, mode=mode, backend=backend)
+    engine = NedSearchEngine(store, mode=mode)
 
     targets = anonymized.pseudonyms()
     if sample_size is not None:
@@ -254,12 +252,10 @@ def deanonymization_precision_with_matrix(
     top_l: int,
     mode: str = "bound-prune",
     executor: str = "serial",
-    backend: str = "auto",
     sample_size: Optional[int] = None,
     seed: RngLike = 0,
     candidate_nodes: Optional[Sequence[Node]] = None,
     training_store: Optional[TreeStore] = None,
-    cache_size: int = DEFAULT_CACHE_SIZE,
 ) -> Tuple[DeanonymizationReport, EngineStats]:
     """Matrix-driven NED de-anonymization sweep.
 
@@ -291,10 +287,7 @@ def deanonymization_precision_with_matrix(
     if sample_size is not None:
         targets = sample_distinct(targets, sample_size, seed)
     anon_store = TreeStore.from_graph(anonymized.graph, k, nodes=targets)
-    matrix = cross_distance_matrix(
-        store, anon_store, mode=mode, executor=executor, backend=backend,
-        cache_size=cache_size,
-    )
+    matrix = cross_distance_matrix(store, anon_store, mode=mode, executor=executor)
     report = _sweep(
         targets, anonymized, training_graph, top_l,
         lambda anon_node: top_l_from_matrix(matrix, anon_node, top_l),

@@ -18,20 +18,23 @@ warm piece of state:
   on by default), the cache-sidecar lifecycle (warm-if-exists at open,
   save-on-close), the matrix executor, the batched executor, and the
   asyncio serving facade.  Matrices, search engines and the metric indexes
-  are all thin consumers of a session.  When numpy/SciPy are available the
-  session also auto-attaches the array-native batch TED* kernel
-  (:mod:`repro.ted.batch`) — serial matrix builds, ``execute_batch`` and
-  exact-mode scans then evaluate whole pair blocks over pre-compiled
-  parent arrays, bit-identical to the per-pair scipy path (opt out with
-  ``batch=False``).
+  are all thin consumers of a session, and the session is the only place
+  the resolver is configured.  Every exact TED* — matrix cells, kNN/top-L
+  survivors, range and exact-mode scans — goes through the resolver's
+  ``resolve_many`` → ``exact_many`` route.  When numpy/SciPy are available
+  the session auto-attaches the array-native batch TED* kernel
+  (:mod:`repro.ted.batch`), so that route evaluates pair blocks (a point
+  query's survivor is a one-pair block) over pre-compiled parent arrays,
+  bit-identical to the per-pair scipy path (opt out with ``batch=False``).
 * :mod:`repro.engine.matrix` — chunked pairwise/cross distance matrices
   (``serial`` / ``process`` executors, ``bound-prune`` mode); the
-  module-level functions open an ephemeral session per build.
+  module-level functions open a default session per build.
 * :mod:`repro.engine.search` — :class:`NedSearchEngine`: ``knn`` /
   ``range_search`` / ``top_l_candidates`` over any :mod:`repro.index`
   backend (``mode="exact"``) or via bound-pruned scans, with
-  per-query per-tier statistics.  Session-backed: engines built from one
-  session share its warm cache.
+  per-query per-tier statistics.  Session-backed: an engine built from a
+  store opens a default session, and engines built from one session
+  (:meth:`NedSession.search_engine`) share its warm cache.
 * :mod:`repro.engine.stats` — the shared telemetry counters.
 
 Every layer is also instrumented through :mod:`repro.obs`: sessions always
@@ -77,8 +80,7 @@ Performance knobs (all on the session)
 * ``cache_size`` — the signature-keyed LRU distance cache between the bound
   tiers and exact TED*, **on by default**
   (:data:`repro.ted.resolver.DEFAULT_CACHE_SIZE`) for every surface the
-  session backs; this one knob replaced the divergent per-surface defaults.
-  Pass ``0`` when raw touched-pair counters are the measurement (the tier
+  session backs.  Pass ``0`` when raw touched-pair counters are the measurement (the tier
   ablations do).  ``stats.cache_hits`` / ``cache_misses`` /
   ``cache_hit_rate`` report the effect.
 * ``executor`` — where a matrix build's exact blocks run.  Every build

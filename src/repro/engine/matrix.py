@@ -27,31 +27,27 @@ orthogonal knobs:
   distance forces it outright, and (when a ``threshold`` is given) a lower
   bound above the threshold marks the pair ``inf`` without ever computing
   it — the data-skipping move: answer from the summary, touch the expensive
-  evaluation only when forced.  ``tiers`` restricts the cascade for
-  ablations (e.g. level-size only).  With the batch kernel active, the
-  cascade runs as one :meth:`~repro.ted.resolver.BoundedNedDistance.survey`
-  per row (or column) instead of per cell, and ``"exact"`` builds take the
-  survey too where it pins every pair (k ≤ 3 with the degree tier on, see
+  evaluation only when forced.  The session's ``tiers`` restrict the
+  cascade for ablations (e.g. level-size only).  With the batch kernel
+  active, the cascade runs as one
+  :meth:`~repro.ted.resolver.BoundedNedDistance.survey` per row (or column)
+  instead of per cell, and ``"exact"`` builds take the survey too where it
+  pins every pair (k ≤ 3 with the degree tier on, see
   :attr:`~repro.ted.resolver.BoundedNedDistance.closed_form`): those builds
   never reach the cache, the kernel or the executor.  ``batch=False``
   sessions keep the per-cell cascade and per-pair TED*, the reference path.
-* ``cache_size`` — capacity of the signature-keyed distance cache (the
-  session default, :data:`repro.ted.resolver.DEFAULT_CACHE_SIZE`, unless
-  overridden; 0 disables every signature-based shortcut, including
+* ``cache_size`` — a session setting: capacity of the signature-keyed
+  distance cache (0 disables every signature-based shortcut, including
   within-build dedup).  TED* depends only on the isomorphism classes of the
   two trees, so duplicate signature pairs within one build are computed once
   and fanned out, however small the cache.
 
-All distance resolution runs through a :class:`repro.engine.session.NedSession`:
-the module-level functions open an ephemeral session per build, and
-long-lived callers open one session themselves and run
-:class:`~repro.engine.session.PairwiseMatrixPlan` /
+All distance resolution runs through a :class:`repro.engine.session.NedSession`,
+the one place the resolver is configured: the module-level functions open a
+default session per build, and long-lived callers open one session
+themselves and run :class:`~repro.engine.session.PairwiseMatrixPlan` /
 :class:`~repro.engine.session.CrossMatrixPlan` through it, sharing the warm
 resolver (and its sidecar lifecycle) across builds and search queries alike.
-The ``backend`` / ``tiers`` / ``cache_size`` / ``cache_file`` parameters
-here configure the ephemeral session and are deprecated in favour of
-session-level configuration; ``resolver=`` shares an externally owned
-resolver directly (its configuration wins).
 
 All modes and executors return identical values for every finite entry;
 they only differ in how many exact TED* computations are paid for (reported
@@ -64,7 +60,6 @@ import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Dict, Hashable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.exceptions import DistanceError
@@ -80,7 +75,6 @@ Node = Hashable
 #: Either store flavour works: the builders only touch the shared surface
 #: (``k``, ``entries()``, ``packed_parent_arrays()``).
 StoreLike = Union[TreeStore, ShardedTreeStore]
-PathLike = Union[str, Path]
 
 MODES = ("exact", "bound-prune")
 #: Shortest row (or column) a matrix build bounds with one store survey; a
@@ -128,39 +122,25 @@ def pairwise_distance_matrix(
     store: StoreLike,
     mode: str = "exact",
     executor: str = "serial",
-    backend: str = "auto",
     chunk_size: int = 64,
     max_workers: Optional[int] = None,
     threshold: Optional[float] = None,
-    tiers: Optional[Sequence[str]] = None,
-    cache_size: Optional[int] = None,
-    resolver: Optional[BoundedNedDistance] = None,
-    cache_file: Optional[PathLike] = None,
 ) -> MatrixResult:
     """Return the symmetric all-pairs NED matrix of one store.
 
     Only the upper triangle is evaluated (NED is symmetric); the diagonal is
-    0 by the identity property, both for free.  Without a ``resolver`` the
-    build opens an ephemeral :class:`repro.engine.session.NedSession`
-    configured by ``backend``/``tiers``/``cache_size``/``cache_file`` (all
-    deprecated here — open a session yourself to share warm state across
-    builds); ``cache_size=None`` means the session default (cache on).  Pass
-    an externally owned ``resolver`` (its ``k`` must match the store's) to
-    share its distance cache across builds — repeated sweeps over
-    overlapping stores then pay for each distinct signature pair once.
-    ``store`` may be a dense :class:`TreeStore` or a
+    0 by the identity property, both for free.  The build runs through a
+    default :class:`repro.engine.session.NedSession` opened for it; open a
+    session yourself (:meth:`~repro.engine.session.NedSession.pairwise_matrix`)
+    to configure the resolver or share warm state across builds and
+    processes.  ``store`` may be a dense :class:`TreeStore` or a
     :class:`repro.engine.shards.ShardedTreeStore`.
-
-    ``cache_file`` persists the exact-distance cache across *processes*: if
-    the sidecar exists it warms the resolver before the build (pairs a
-    previous run already computed cost nothing), and the cache is saved back
-    on completion.
     """
-    return _matrix_entry(
-        store, store, symmetric=True, mode=mode, executor=executor, backend=backend,
-        chunk_size=chunk_size, max_workers=max_workers, threshold=threshold,
-        tiers=tiers, cache_size=cache_size, resolver=resolver, cache_file=cache_file,
-    )
+    from repro.engine.session import NedSession, PairwiseMatrixPlan
+
+    plan = PairwiseMatrixPlan(mode=mode, threshold=threshold, chunk_size=chunk_size)
+    with NedSession(store, executor=executor, max_workers=max_workers) as session:
+        return session.execute(plan)
 
 
 def cross_distance_matrix(
@@ -168,14 +148,9 @@ def cross_distance_matrix(
     col_store: StoreLike,
     mode: str = "exact",
     executor: str = "serial",
-    backend: str = "auto",
     chunk_size: int = 64,
     max_workers: Optional[int] = None,
     threshold: Optional[float] = None,
-    tiers: Optional[Sequence[str]] = None,
-    cache_size: Optional[int] = None,
-    resolver: Optional[BoundedNedDistance] = None,
-    cache_file: Optional[PathLike] = None,
 ) -> MatrixResult:
     """Return the rows × columns NED matrix between two stores.
 
@@ -184,88 +159,15 @@ def cross_distance_matrix(
     whatever orientation the argument order gives it; the matrix-driven
     sweep (:func:`repro.anonymize.deanonymize.top_l_from_matrix`) expects
     training candidates in *rows* and anonymised nodes in *columns*, i.e.
-    ``cross_distance_matrix(training_store, anon_store)``.  ``resolver``
-    shares a distance cache across builds and ``cache_file`` persists it
-    across processes, as in :func:`pairwise_distance_matrix`.
+    ``cross_distance_matrix(training_store, anon_store)``.  Like
+    :func:`pairwise_distance_matrix`, it opens a default session.
     """
-    if row_store.k != col_store.k:
-        raise DistanceError(
-            f"stores disagree on k ({row_store.k} vs {col_store.k}); "
-            "NED values would not be comparable"
-        )
-    return _matrix_entry(
-        row_store, col_store, symmetric=False, mode=mode, executor=executor,
-        backend=backend, chunk_size=chunk_size, max_workers=max_workers,
-        threshold=threshold, tiers=tiers, cache_size=cache_size, resolver=resolver,
-        cache_file=cache_file,
+    from repro.engine.session import CrossMatrixPlan, NedSession
+
+    plan = CrossMatrixPlan(
+        col_store=col_store, mode=mode, threshold=threshold, chunk_size=chunk_size
     )
-
-
-def _matrix_entry(
-    row_store: StoreLike,
-    col_store: StoreLike,
-    symmetric: bool,
-    mode: str,
-    executor: str,
-    backend: str,
-    chunk_size: int,
-    max_workers: Optional[int],
-    threshold: Optional[float],
-    tiers: Optional[Sequence[str]],
-    cache_size: Optional[int],
-    resolver: Optional[BoundedNedDistance],
-    cache_file: Optional[PathLike],
-) -> MatrixResult:
-    """Route one module-level build through a session or a shared resolver."""
-    if resolver is not None:
-        # Shared-resolver path: the caller owns the warm state (and its
-        # configuration), so the session cannot manage the sidecar for it.
-        # The inline lifecycle here is deliberately narrower than the
-        # session's: warm_from (merge into possibly non-empty cache, hits
-        # arrive cold) instead of load_cache (adopt), and save only on
-        # successful completion — a caller-owned resolver's partial state is
-        # the caller's to persist.  Callers who want the session lifecycle
-        # open a NedSession and share it instead of a bare resolver.
-        if resolver.k != row_store.k:
-            raise DistanceError(
-                f"shared resolver was built with k={resolver.k}, "
-                f"expected k={row_store.k}"
-            )
-        if cache_file is not None and resolver.cache_size == 0:
-            raise DistanceError(
-                "cache_file needs the distance cache: pass a cache_size > 0 "
-                "(or a resolver whose cache is enabled)"
-            )
-        if cache_file is not None and Path(cache_file).exists():
-            resolver.warm_from(cache_file)
-        result = build_matrix_with_resolver(
-            row_store, col_store, symmetric=symmetric, mode=mode,
-            executor=executor, chunk_size=chunk_size, max_workers=max_workers,
-            threshold=threshold, resolver=resolver,
-        )
-        if cache_file is not None:
-            resolver.save_cache(cache_file)
-        return result
-
-    from repro.engine.session import CrossMatrixPlan, NedSession, PairwiseMatrixPlan
-
-    # cache_file + cache_size=0 is rejected by the session constructor (the
-    # resolver branch above enforces the analogous rule for externally owned
-    # resolvers, whose cache configuration the session never sees).
-    session = NedSession(
-        row_store, backend=backend, tiers=tiers, cache_size=cache_size,
-        cache_file=cache_file, executor=executor, max_workers=max_workers,
-    )
-    with session:
-        if symmetric:
-            plan = PairwiseMatrixPlan(
-                mode=mode, threshold=threshold, chunk_size=chunk_size
-            )
-        else:
-            plan = CrossMatrixPlan(
-                col_store=col_store, mode=mode, threshold=threshold,
-                chunk_size=chunk_size,
-            )
+    with NedSession(row_store, executor=executor, max_workers=max_workers) as session:
         return session.execute(plan)
 
 

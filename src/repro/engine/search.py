@@ -22,11 +22,17 @@ modes differ only in *which* pruning machinery drives it:
   With a batch kernel attached (``resolver.batch_active``), every interval
   of a query comes from one store-wide
   :meth:`~repro.ted.resolver.BoundedNedDistance.survey` (a few numpy
-  operations), and a range query's open candidates go to the exact tier
-  as one :meth:`~repro.ted.resolver.BoundedNedDistance.resolve_many` block.
-  Without one, the per-pair reference route calls ``bounds()`` (or
-  ``resolve()``) once per candidate.  Both routes return the same bits and
-  add the same resolver counters.
+  operations).  Without one, the reference route calls ``bounds()`` once
+  per kNN/top-L candidate, and a range query is one
+  :meth:`~repro.ted.resolver.BoundedNedDistance.resolve_many` call with the
+  radius as threshold.  Both routes return the same bits and add the same
+  resolver counters.
+
+Every exact TED* a query pays — kNN/top-L survivors, a range query's open
+candidates, an exact-mode scan, a metric index's measure — goes through the
+resolver's ``resolve_many`` → ``exact_many`` route: the cache, then the batch
+kernel when one is attached, else per-pair TED*.  A survivor is a one-pair
+block; an exact-mode scan is one block over the whole store.
 
 A third mode, ``"hybrid"`` (summary intervals threaded through the VP-/BK-
 tree traversals), was retired: on the Figure 9b datasets it never paid fewer
@@ -43,19 +49,18 @@ evaluation is O(k·n³).  Every query records a
 total.
 
 Note the session defaults the signature-keyed distance cache **on**
-(:data:`repro.ted.resolver.DEFAULT_CACHE_SIZE`), unifying the previously
-divergent per-surface defaults: with a cache, ``exact_evaluations`` counts
-the *distinct* signature pairs a query forced (``stats.cache_hits`` reports
-the repeats answered from memory).  Pass ``cache_size=0`` — as the tier
-ablations do — to measure raw touched-pair counts instead.
+(:data:`repro.ted.resolver.DEFAULT_CACHE_SIZE`): with a cache,
+``exact_evaluations`` counts the *distinct* signature pairs a query forced
+(``stats.cache_hits`` reports the repeats answered from memory).  Open the
+session with ``cache_size=0`` — as the tier ablations do — to measure raw
+touched-pair counts instead.
 """
 
 from __future__ import annotations
 
 import bisect
 from contextlib import contextmanager
-from pathlib import Path
-from typing import Callable, Hashable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Hashable, List, Optional, Tuple, Union
 
 from repro.exceptions import DistanceError, IndexingError
 from repro.engine.shards import ShardedTreeStore
@@ -89,24 +94,15 @@ class NedSearchEngine:
     index:
         Metric-index backend used by exact-mode queries; ignored
         by bound-prune queries, which scan with summary-based pruning.
-    backend, tiers, cache_size, cache_file:
-        Configuration of the ephemeral :class:`~repro.engine.session.NedSession`
-        the engine opens when no ``session`` is passed; deprecated here in
-        favour of configuring the session directly
-        (:meth:`NedSession.search_engine`).  ``cache_size=None`` means the
-        session default — the signature-keyed exact-distance cache **on**
-        (:data:`repro.ted.resolver.DEFAULT_CACHE_SIZE`); pass ``0`` for raw
-        Figure-9b-style touched-pair counters.  ``cache_file`` names a
-        distance-cache sidecar, warmed at construction when it exists;
-        :meth:`save_cache` writes it back.
     leaf_size, index_seed:
         VP-tree construction parameters (ignored by other backends).
     session:
         An open :class:`~repro.engine.session.NedSession` to back this
         engine.  The engine then shares the session's store, warm resolver,
-        distance cache and sidecar lifecycle; ``backend``/``tiers``/
-        ``cache_size``/``cache_file`` must be left at their defaults (the
-        session already fixed them).
+        distance cache and sidecar lifecycle.  Without one, the engine opens
+        a default session over ``store``; resolver configuration (backend,
+        tiers, cache size, cache sidecar) lives only on the session, so
+        configure one and call :meth:`NedSession.search_engine` to change it.
 
     ``store`` may be a dense :class:`TreeStore` or a lazily loaded
     :class:`repro.engine.shards.ShardedTreeStore`; the engine snapshots the
@@ -126,10 +122,6 @@ class NedSearchEngine:
         store: Optional[StoreLike] = None,
         mode: str = "exact",
         index: str = "linear",
-        backend: str = "auto",
-        tiers: Optional[Sequence[str]] = None,
-        cache_size: Optional[int] = None,
-        cache_file: Optional[Union[str, Path]] = None,
         leaf_size: int = 8,
         index_seed: int = 0,
         *,
@@ -146,36 +138,15 @@ class NedSearchEngine:
 
             if store is None:
                 raise IndexingError("NedSearchEngine needs a store (or a session)")
-            try:
-                session = NedSession(
-                    store, backend=backend, tiers=tiers, cache_size=cache_size,
-                    cache_file=cache_file,
-                )
-            except DistanceError as error:
-                raise IndexingError(str(error)) from None
-        else:
-            overridden = [
-                name for name, value, default in (
-                    ("backend", backend, "auto"),
-                    ("tiers", tiers, None),
-                    ("cache_size", cache_size, None),
-                    ("cache_file", cache_file, None),
-                ) if value != default
-            ]
-            if overridden:
-                raise IndexingError(
-                    f"{', '.join(overridden)} cannot be set on a session-backed "
-                    f"engine: the session already fixed its resolver "
-                    f"configuration — configure the NedSession instead"
-                )
-            if store is not None and store is not session.store:
-                raise IndexingError(
-                    "engine store disagrees with the session's store; pass one "
-                    "or the other"
-                )
-            store = session.store
-            if store is None:
-                raise IndexingError("cannot search with a store-less session")
+            session = NedSession(store)
+        elif store is not None and store is not session.store:
+            raise IndexingError(
+                "engine store disagrees with the session's store; pass one "
+                "or the other"
+            )
+        store = session.store
+        if store is None:
+            raise IndexingError("cannot search with a store-less session")
         if not len(store):
             raise IndexingError("cannot search an empty TreeStore")
         self.session = session
@@ -183,9 +154,6 @@ class NedSearchEngine:
         self.k = store.k
         self.mode = mode
         self.index_kind = index
-        self.backend = session.backend
-        self.cache_file = session.cache_file
-        self.tiers = session.tiers
         self._leaf_size = leaf_size
         self._index_seed = index_seed
         self._index: Optional[MetricIndexBase] = None
@@ -193,20 +161,6 @@ class NedSearchEngine:
         self._resolver = session.resolver
         self.stats = EngineStats()
         self.last_query_stats: Optional[QueryStats] = None
-
-    def save_cache(self, path: "Optional[Union[str, Path]]" = None) -> Path:
-        """Write the exact-distance cache sidecar; returns the path written.
-
-        Delegates to the backing session (``path`` defaults to its
-        ``cache_file``).  Typically called once at the end of a sweep, so
-        the next process's engine — constructed with the same ``cache_file``
-        — starts warm; a session-owned engine gets this for free from the
-        session's save-on-close.
-        """
-        try:
-            return self.session.save_cache(path)
-        except DistanceError as error:
-            raise IndexingError(str(error)) from None
 
     # ---------------------------------------------------------------- factory
     @classmethod
@@ -266,11 +220,14 @@ class NedSearchEngine:
                 if self._resolver.batch_active:
                     matches = self._surveyed_range(probe, radius)
                 else:
-                    matches = []
-                    for entry in self._entries:
-                        value, _ = self._resolver.resolve(probe, entry, threshold=radius)
-                        if value is not None and value <= radius:
-                            matches.append((entry.node, value))
+                    resolved = self._resolver.resolve_many(
+                        [(probe, entry) for entry in self._entries], threshold=radius
+                    )
+                    matches = [
+                        (entry.node, value)
+                        for entry, (value, _) in zip(self._entries, resolved)
+                        if value is not None and value <= radius
+                    ]
                     matches.sort(key=lambda pair: pair[1])
             self._record(counters)
             return matches
@@ -326,9 +283,6 @@ class NedSearchEngine:
             counters.merge(self._resolver.counters.since(before))
             counters.pairs_considered = len(self.store)
 
-    def _exact(self, first: StoredTree, second: StoredTree) -> float:
-        return self._resolver.exact(first, second)
-
     def _record(self, counters: EngineStats) -> None:
         self.last_query_stats = QueryStats(
             mode=self.mode,
@@ -344,7 +298,7 @@ class NedSearchEngine:
     def _get_index(self) -> MetricIndexBase:
         if self._index is None:
             entries = self._entries
-            measure = self._exact
+            measure = self._resolver.exact
             if self.index_kind == "linear":
                 self._index = LinearScanIndex(entries, measure)
             elif self.index_kind == "vptree":
@@ -416,18 +370,17 @@ class NedSearchEngine:
             ]
 
         # Exact mode resolves every candidate anyway (no pruning, store
-        # order), so with a batch kernel attached the whole scan goes
-        # through the resolver at once: under closed_form (k <= 3) one
-        # bound survey pins every pair, with no cache or exact tier;
-        # otherwise the scan is one block through the cache and one
-        # array-native exact call.
+        # order), so the whole scan goes through the resolver at once: with
+        # a batch kernel under closed_form (k <= 3) one bound survey pins
+        # every pair, with no cache or exact tier; otherwise the scan is one
+        # resolve_many block through the cache and the exact tier.
         precomputed: Optional[List[float]] = None
         resolver = self._resolver
         if not prune and resolver.batch_active and resolver.closed_form:
             survey = resolver.survey(probe, self.store)
             resolver.record_decided_many(survey, survey.closed)
             precomputed = survey.lower.tolist()
-        elif not prune and resolver.batch_active and len(entries) > 1:
+        elif not prune:
             precomputed = [
                 value
                 for value, _ in resolver.resolve_many(
@@ -462,7 +415,7 @@ class NedSearchEngine:
             elif precomputed is not None:
                 distance = precomputed[position]
             else:
-                distance = self._exact(probe, entry)
+                distance = resolver.exact(probe, entry)
             _offer(best, count, (distance, tie_key(position, entry.node), position, entry.node))
         return best
 
@@ -479,9 +432,10 @@ class NedSearchEngine:
         (``np.partition``); every candidate whose lower bound exceeds it is
         pruned in bulk.  Survivors then run the reference route's loop in
         ascending ``(lower, position)`` order: closed intervals are decided,
-        open ones pay a per-pair exact evaluation, and the first survivor
-        above ``min(static, dynamic)`` ends the loop, since the dynamic
-        threshold only tightens and later lower bounds are no smaller.  At
+        open ones pay one exact evaluation each (a one-pair kernel block),
+        and the first survivor above ``min(static, dynamic)`` ends the loop,
+        since the dynamic threshold only tightens and later lower bounds are
+        no smaller.  At
         ``k <= 3`` every survivor is closed, so the loop only visits the
         candidates at or below the ``count``-th smallest distance (ties
         included) plus the one that stops it.  Pruned and decided
@@ -512,7 +466,7 @@ class NedSearchEngine:
                 decided[position] = True
                 distance = lower
             else:
-                distance = self._exact(probe, entries[position])
+                distance = resolver.exact(probe, entries[position])
             node = entries[position].node
             _offer(best, count, (distance, tie_key(position, node), position, node))
         resolver.record_pruned_many(survey, pruned)

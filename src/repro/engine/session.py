@@ -250,9 +250,11 @@ class NedSession:
         Array-native batch TED* kernel (:mod:`repro.ted.batch`) policy.
         ``None`` (default) auto-attaches one when the session owns a store,
         the backend realises scipy matching, and numpy/SciPy are available
-        — serial matrix builds, ``execute_batch`` and exact-mode scans then
-        evaluate pair *blocks* with bit-identical values.  ``True`` makes a
-        missing prerequisite an error; ``False`` opts out.
+        — every exact TED* the session pays (matrix cells, point-query
+        survivors, exact-mode scans) then runs as a kernel block, with
+        values bit-identical to the per-pair path.  ``True`` makes a
+        missing prerequisite an error; ``False`` opts out (the per-pair
+        reference the tests compare against).
     resilience:
         A :class:`repro.resilience.ResiliencePolicy` wired through every
         layer the session owns (shard decodes, sidecar load/save, matrix

@@ -205,7 +205,7 @@ class MetricsRegistry:
 
     Every :class:`repro.engine.session.NedSession` owns (or is handed) one;
     the resolver, the sharded store, the matrix executor and the serving
-    loop all write into it through plain names (``resolver.exact_seconds``,
+    loop all write into it through plain names (``resolver.exact_batch_seconds``,
     ``shards.load_seconds``, ``serving.tick_seconds``, ...).  Registries are
     cheap — recording is a dict update — and always on; the spans of
     :mod:`repro.obs.tracing` are the opt-in layer.

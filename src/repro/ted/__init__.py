@@ -13,9 +13,9 @@
   (Section 11: GED ≤ 2·TED*, TED ≤ δ_T(W+)).
 * :mod:`repro.ted.resolver` — :class:`BoundedNedDistance`, the staged
   distance-resolution cascade consumed by the engine's matrices and
-  bound-pruned searches; resolves pairs one at a time (:meth:`~repro.ted.resolver.
-  BoundedNedDistance.resolve`) or in blocks (:meth:`~repro.ted.resolver.
-  BoundedNedDistance.resolve_many`).
+  bound-pruned searches; resolves pair blocks (:meth:`~repro.ted.resolver.
+  BoundedNedDistance.resolve_many`), of which the one-pair
+  :meth:`~repro.ted.resolver.BoundedNedDistance.resolve` is a special case.
 * :mod:`repro.ted.batch` — the array-native batch TED* kernel: stores are
   pre-compiled once into contiguous numpy arrays (per-level slices of the
   canonical parent arrays) and many pairs are evaluated per call with

@@ -27,6 +27,14 @@ a ``(lower, upper)`` interval on TED*:
    and the cache has never seen the signature pair; the result is routed
    back into the cache for the next probe.
 
+Every exact evaluation takes one route, whoever asks for it:
+:meth:`BoundedNedDistance.resolve_many` (cache lookups, within-block dedup)
+hands the open pairs to :meth:`~BoundedNedDistance.exact_many`, which offers
+the block to an attached dispatcher, else the batch kernel, else the
+per-pair rung (per-pair ``ted_star`` behind the degradation ladder).  A point
+query's :meth:`~BoundedNedDistance.resolve` or
+:meth:`~BoundedNedDistance.exact` is a one-pair ``resolve_many``.
+
 Inputs are summary records (duck-typed: ``.tree``, ``.signature``,
 ``.level_sizes``, ``.degree_profiles`` — e.g.
 :class:`repro.engine.tree_store.StoredTree`), so resolution never touches a
@@ -500,9 +508,11 @@ class BoundedNedDistance:
         :meth:`resolve_many` does).  With a batch kernel attached the whole
         block goes through the array-native path (latency recorded in the
         ``resolver.exact_batch_seconds`` histogram); otherwise it degrades
-        to a per-pair loop on :attr:`matching_backend`.  Under an attached
-        breaker, batch-kernel failures degrade the block to the per-pair
-        path (bit-identical values) instead of failing the build.
+        to the per-pair rung on :attr:`matching_backend`, which checks the
+        deadline before every pair and records each pair's latency in
+        ``resolver.exact_seconds``.  Under an attached breaker, batch-kernel
+        failures degrade the block to the per-pair rung (bit-identical
+        values) instead of failing the build.
         """
         if not pairs:
             return []
@@ -534,7 +544,15 @@ class BoundedNedDistance:
                 else:
                     breaker.record_success()
                     return values
-        return [self._pair_exact(first.tree, second.tree) for first, second in pairs]
+        values = []
+        for first, second in pairs:
+            self.check_deadline("resolver.exact")
+            values.append(
+                self._timed(
+                    "resolver.exact_seconds", self._pair_exact, first.tree, second.tree
+                )
+            )
+        return values
 
     def _kernel_block(self, kernel, pairs: Sequence[Tuple[object, object]]) -> List[float]:
         """Run one block through the batch kernel, timing it when measured."""
@@ -555,9 +573,9 @@ class BoundedNedDistance:
     ) -> List[Tuple[Optional[float], ResolutionInterval]]:
         """Run the cascade over a block of pairs, batching the exact tier.
 
-        Counter-for-counter equivalent to calling :meth:`resolve` (or, with
-        ``bounds=False``, :meth:`exact`) per pair in order, with one
-        deliberate refinement shared with the matrix builder: pairs whose
+        Counter-for-counter equivalent to resolving the pairs one at a time
+        in order (:meth:`resolve` and, with ``bounds=False``, :meth:`exact`
+        are its one-pair forms), with one deliberate refinement: pairs whose
         cache key repeats *within the block* are deduplicated — the first
         occurrence pays the exact evaluation and followers are counted as
         cache hits, exactly as they would be had the pairs been resolved
@@ -910,28 +928,8 @@ class BoundedNedDistance:
 
     # ------------------------------------------------------------- exact tier
     def exact(self, first, second) -> float:
-        """Resolve a pair on the exact path (cache first, then TED*)."""
-        value, _ = self._exact_resolution(first, second)
-        return value
-
-    def _exact_resolution(self, first, second) -> Tuple[float, str]:
-        """Return ``(distance, tier)`` where tier is cache or exact."""
-        key = self.cache_key(first, second)
-        if key is not None:
-            cached = self._timed("resolver.cache_lookup_seconds", self.cache_get, key)
-            if cached is not None:
-                return cached, CACHE_TIER
-        self.check_deadline("resolver.exact")
-        self.counters.exact_evaluations += 1
-        value = self._timed(
-            "resolver.exact_seconds",
-            self._pair_exact,
-            first.tree,
-            second.tree,
-        )
-        if key is not None:
-            self.cache_put(key, value)
-        return value, EXACT_TIER
+        """Resolve a pair on the exact path: a one-pair :meth:`resolve_many`."""
+        return self.resolve_many([(first, second)], bounds=False)[0][0]
 
     # -------------------------------------------------------------- outcomes
     def record_pruned(self, interval: ResolutionInterval) -> None:
@@ -976,15 +974,7 @@ class BoundedNedDistance:
         responsible tier.  Otherwise ``value`` is the exact distance, paid
         for only when the cheap tiers left the interval open.
         """
-        interval = self.bounds(first, second)
-        if threshold is not None and interval.excludes(threshold):
-            self.record_pruned(interval)
-            return None, interval
-        if interval.exact:
-            self.record_decided(interval)
-            return interval.lower, interval
-        value, tier = self._exact_resolution(first, second)
-        return value, ResolutionInterval(value, value, tier)
+        return self.resolve_many([(first, second)], threshold=threshold)[0]
 
     def distance(self, first, second) -> float:
         """Return the exact distance through the cascade (never prunes)."""

@@ -23,6 +23,27 @@ def subprocess_env():
 
 
 @pytest.fixture
+def ted_star_calls(monkeypatch):
+    """Count the resolver's per-pair ``ted_star`` calls (a one-item list).
+
+    Only the per-pair rung of ``BoundedNedDistance.exact_many`` calls it, so
+    the count is the pairs evaluated one at a time in this process (batch
+    kernel blocks and worker processes are not counted).
+    """
+    import repro.ted.resolver as resolver_module
+
+    real_ted_star = resolver_module.ted_star
+    calls = [0]
+
+    def counting_ted_star(*args, **kwargs):
+        calls[0] += 1
+        return real_ted_star(*args, **kwargs)
+
+    monkeypatch.setattr(resolver_module, "ted_star", counting_ted_star)
+    return calls
+
+
+@pytest.fixture
 def rng():
     """A deterministic RNG for tests that need randomness."""
     return random.Random(12345)

@@ -10,8 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import NedSearchEngine, NedSession, TreeStore, pairwise_distance_matrix
-from repro.engine.matrix import cross_distance_matrix
+from repro.engine import NedSession, TreeStore
 from repro.exceptions import DistanceError
 from repro.graph.generators import barabasi_albert_graph, erdos_renyi_graph, grid_road_graph
 from repro.ted.resolver import (
@@ -22,6 +21,12 @@ from repro.ted.resolver import (
 )
 from repro.ted import batch_available
 from repro.ted.ted_star import ted_star
+
+
+def _pairwise(store, cache_size, **plan_options):
+    """One pairwise build on a session with the given cache capacity."""
+    with NedSession(store, cache_size=cache_size) as session:
+        return session.pairwise_matrix(**plan_options)
 
 
 @pytest.fixture(scope="module")
@@ -105,8 +110,8 @@ class TestResolverCache:
 
 class TestMatrixCacheIdentity:
     def test_cache_on_off_identity_fixed_store(self, store):
-        cached = pairwise_distance_matrix(store, cache_size=DEFAULT_CACHE_SIZE)
-        uncached = pairwise_distance_matrix(store, cache_size=0)
+        cached = _pairwise(store, DEFAULT_CACHE_SIZE)
+        uncached = _pairwise(store, 0)
         assert cached.values == uncached.values
         assert cached.stats.cache_hits > 0
         assert uncached.stats.cache_hits == uncached.stats.cache_misses == 0
@@ -121,17 +126,17 @@ class TestMatrixCacheIdentity:
         graph = erdos_renyi_graph(nodes, 0.3, seed=seed)
         random_store = TreeStore.from_graph(graph, k)
         for mode in ("exact", "bound-prune"):
-            cached = pairwise_distance_matrix(
-                random_store, mode=mode, cache_size=DEFAULT_CACHE_SIZE
-            )
-            uncached = pairwise_distance_matrix(random_store, mode=mode, cache_size=0)
+            cached = _pairwise(random_store, DEFAULT_CACHE_SIZE, mode=mode)
+            uncached = _pairwise(random_store, 0, mode=mode)
             assert cached.values == uncached.values
 
     def test_cross_matrix_cache_identity(self):
         store_a = TreeStore.from_graph(barabasi_albert_graph(20, 2, seed=3), k=4)
         store_b = TreeStore.from_graph(barabasi_albert_graph(25, 2, seed=4), k=4)
-        cached = cross_distance_matrix(store_a, store_b, cache_size=DEFAULT_CACHE_SIZE)
-        uncached = cross_distance_matrix(store_a, store_b, cache_size=0)
+        with NedSession(store_a, cache_size=DEFAULT_CACHE_SIZE) as session:
+            cached = session.cross_matrix(store_b)
+        with NedSession(store_a, cache_size=0) as session:
+            uncached = session.cross_matrix(store_b)
         assert cached.values == uncached.values
 
     def test_closed_form_matrices_skip_the_cache(self):
@@ -140,10 +145,8 @@ class TestMatrixCacheIdentity:
         # the per-pair path, which does go through the cache.
         shallow = TreeStore.from_graph(barabasi_albert_graph(40, 2, seed=11), k=3)
         for mode in ("exact", "bound-prune"):
-            cached = pairwise_distance_matrix(
-                shallow, mode=mode, cache_size=DEFAULT_CACHE_SIZE
-            )
-            uncached = pairwise_distance_matrix(shallow, mode=mode, cache_size=0)
+            cached = _pairwise(shallow, DEFAULT_CACHE_SIZE, mode=mode)
+            uncached = _pairwise(shallow, 0, mode=mode)
             with NedSession(shallow, batch=False) as reference:
                 expected = reference.pairwise_matrix(mode=mode)
             assert cached.values == uncached.values == expected.values
@@ -153,7 +156,7 @@ class TestMatrixCacheIdentity:
             assert reference.pairwise_matrix(mode="exact").stats.cache_misses > 0
 
     def test_accounting_exact_mode(self, store):
-        result = pairwise_distance_matrix(store, cache_size=DEFAULT_CACHE_SIZE)
+        result = _pairwise(store, DEFAULT_CACHE_SIZE)
         stats = result.stats
         # Every pair is on the exact path in exact mode: one lookup each.
         assert stats.cache_hits + stats.cache_misses == stats.pairs_considered
@@ -162,9 +165,11 @@ class TestMatrixCacheIdentity:
         assert 0.0 < stats.cache_hit_rate < 1.0
 
     def test_shared_resolver_reuses_cache_across_builds(self, store):
-        resolver = BoundedNedDistance(k=4, cache_size=DEFAULT_CACHE_SIZE)
-        first = pairwise_distance_matrix(store, resolver=resolver)
-        second = pairwise_distance_matrix(store, resolver=resolver)
+        # Two builds on one session share its resolver and its cache.
+        with NedSession(store, cache_size=DEFAULT_CACHE_SIZE) as session:
+            first = session.pairwise_matrix()
+            second = session.pairwise_matrix()
+            resolver = session.resolver
         assert second.values == first.values
         # The second build answers every exact-path pair from the warm cache.
         assert second.stats.exact_evaluations == 0
@@ -176,14 +181,8 @@ class TestMatrixCacheIdentity:
             == first.stats.cache_hits + second.stats.cache_hits
         )
 
-    def test_shared_resolver_k_mismatch_rejected(self, store):
-        with pytest.raises(DistanceError):
-            pairwise_distance_matrix(store, resolver=BoundedNedDistance(k=2, cache_size=4))
-
     def test_accounting_bound_prune_mode(self, store):
-        result = pairwise_distance_matrix(
-            store, mode="bound-prune", cache_size=DEFAULT_CACHE_SIZE
-        )
+        result = _pairwise(store, DEFAULT_CACHE_SIZE, mode="bound-prune")
         stats = result.stats
         exact_path = (
             stats.pairs_considered
@@ -199,10 +198,10 @@ class TestMatrixCacheIdentity:
 class TestSearchEngineCache:
     def test_repeated_probes_hit_and_agree(self, store):
         graph = grid_road_graph(5, 5, seed=7)
-        cached_engine = NedSearchEngine(
-            store, mode="bound-prune", cache_size=DEFAULT_CACHE_SIZE
+        cached_engine = NedSession(store, cache_size=DEFAULT_CACHE_SIZE).search_engine(
+            mode="bound-prune"
         )
-        plain_engine = NedSearchEngine(store, mode="bound-prune", cache_size=0)
+        plain_engine = NedSession(store, cache_size=0).search_engine(mode="bound-prune")
         for node in list(graph.nodes())[:6]:
             probe = cached_engine.probe(graph, node)
             assert cached_engine.knn(probe, 4) == plain_engine.knn(probe, 4)
@@ -216,7 +215,7 @@ class TestSearchEngineCache:
         assert plain_engine.stats.cache_hits == 0
 
     def test_query_accounting(self, store):
-        engine = NedSearchEngine(store, mode="bound-prune", cache_size=64)
+        engine = NedSession(store, cache_size=64).search_engine(mode="bound-prune")
         probe = engine.probe(grid_road_graph(4, 4, seed=2), 0)
         engine.knn(probe, 5)
         counters = engine.last_query_stats.counters

@@ -29,7 +29,6 @@ from repro.graph.generators import (
 )
 from repro.graph.graph import DiGraph
 from repro.resilience import FaultPlan, FaultSpec, ResilienceWarning
-from repro.ted.resolver import BoundedNedDistance
 
 
 @pytest.fixture(scope="module")
@@ -220,9 +219,8 @@ class TestDistanceMatrix:
 
     def test_each_bound_tier_skips_more_exact_work(self, deep_store):
         serial = pairwise_distance_matrix(deep_store, mode="exact")
-        level_size = pairwise_distance_matrix(
-            deep_store, mode="bound-prune", tiers=("signature", "level-size")
-        )
+        with NedSession(deep_store, tiers=("signature", "level-size")) as session:
+            level_size = session.pairwise_matrix(mode="bound-prune")
         full = pairwise_distance_matrix(deep_store, mode="bound-prune")
         assert level_size.values == serial.values
         assert full.values == serial.values
@@ -300,12 +298,9 @@ class TestDistanceMatrix:
         # pool or local kernel); there is no callable-executor contract.
         with pytest.raises(DistanceError, match="executor"):
             pairwise_distance_matrix(deep_store, executor=lambda blocks: [])
-        with pytest.raises(DistanceError, match="executor"):
-            pairwise_distance_matrix(
-                deep_store,
-                executor=lambda blocks: [],
-                resolver=BoundedNedDistance(k=deep_store.k),
-            )
+        with NedSession(deep_store) as session:
+            with pytest.raises(DistanceError, match="executor"):
+                session.pairwise_matrix(executor=lambda blocks: [])
 
     def test_broken_pool_falls_back_to_serial(self, deep_store):
         # No retry budget: the first killed block makes the pool give up,
@@ -454,9 +449,9 @@ class TestBoundTiers:
 
     def test_degree_tier_never_pays_more_than_level_size_only(self, workload):
         store, queries = workload
-        level_size_only = NedSearchEngine(
-            store, mode="bound-prune", tiers=("signature", "level-size")
-        )
+        level_size_only = NedSession(
+            store, tiers=("signature", "level-size")
+        ).search_engine(mode="bound-prune")
         full = NedSearchEngine(store, mode="bound-prune")
         for query_node in list(queries.nodes())[:5]:
             probe = full.probe(queries, query_node)
@@ -465,12 +460,10 @@ class TestBoundTiers:
 
     def test_unknown_tier_rejected(self, workload):
         store, _ = workload
-        with pytest.raises(IndexingError):
-            NedSearchEngine(store, tiers=("clairvoyance",))
-        from repro.exceptions import DistanceError
-
-        with pytest.raises(DistanceError):
-            pairwise_distance_matrix(store, mode="bound-prune", tiers=("exact",))
+        with pytest.raises(DistanceError, match="unknown bound tiers"):
+            NedSession(store, tiers=("clairvoyance",))
+        with pytest.raises(DistanceError, match="unknown bound tiers"):
+            NedSession(store, tiers=("exact",))
 
 
 class TestEngineDeanonymization:
@@ -634,23 +627,13 @@ class TestIncrementalFallback:
 
     CHUNK = 100
 
-    def _killed_build(self, store, after, monkeypatch):
+    def _killed_build(self, store, after, local_calls):
         """A process build whose pool dies at block ``after``; no restarts.
 
         ``batch=False`` keeps the parent's local exact tier per pair, so
         counting ``ted_star`` calls in the resolver counts exactly the
         pairs recomputed locally (workers evaluate in their own processes).
         """
-        import repro.ted.resolver as resolver_module
-
-        real_ted_star = resolver_module.ted_star
-        local_calls = {"count": 0}
-
-        def counting_ted_star(*args, **kwargs):
-            local_calls["count"] += 1
-            return real_ted_star(*args, **kwargs)
-
-        monkeypatch.setattr(resolver_module, "ted_star", counting_ted_star)
         plan = FaultPlan(
             [FaultSpec("executor.dispatch", kind="kill", after=after)]
         )
@@ -661,13 +644,13 @@ class TestIncrementalFallback:
             with pytest.warns(ResilienceWarning):
                 result = session.pairwise_matrix(chunk_size=self.CHUNK)
             counters = session.metrics_snapshot()["counters"]
-        return result, counters, local_calls["count"]
+        return result, counters, local_calls[0]
 
-    def test_only_remaining_chunks_recomputed(self, deep_store, monkeypatch):
+    def test_only_remaining_chunks_recomputed(self, deep_store, ted_star_calls):
         returned = 2
         total_pairs = len(deep_store) * (len(deep_store) - 1) // 2
         result, counters, local = self._killed_build(
-            deep_store, returned, monkeypatch
+            deep_store, returned, ted_star_calls
         )
         assert result.executor_used == "serial (fallback: BrokenExecutor)"
         assert counters["serving.dispatch_blocks"] == returned
@@ -675,16 +658,18 @@ class TestIncrementalFallback:
         # Exactly the pairs of the blocks the pool never returned.
         assert local == total_pairs - returned * self.CHUNK
         assert result.stats.exact_evaluations == total_pairs
-        reference = pairwise_distance_matrix(deep_store, cache_size=0)
+        with NedSession(deep_store, cache_size=0) as session:
+            reference = session.pairwise_matrix()
         assert result.values == reference.values
 
-    def test_immediate_break_recomputes_everything(self, deep_store, monkeypatch):
+    def test_immediate_break_recomputes_everything(self, deep_store, ted_star_calls):
         total_pairs = len(deep_store) * (len(deep_store) - 1) // 2
-        result, counters, local = self._killed_build(deep_store, 0, monkeypatch)
+        result, counters, local = self._killed_build(deep_store, 0, ted_star_calls)
         assert result.executor_used == "serial (fallback: BrokenExecutor)"
         assert counters.get("serving.dispatch_blocks", 0) == 0
         assert local == total_pairs
-        reference = pairwise_distance_matrix(deep_store, cache_size=0)
+        with NedSession(deep_store, cache_size=0) as session:
+            reference = session.pairwise_matrix()
         assert result.values == reference.values
 
 

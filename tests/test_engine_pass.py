@@ -11,9 +11,10 @@ The checks are counts, not timings:
 * *resilience* — the default policy (retries + breakers) and
   ``resilience=False`` return identical results with identical work
   counters, every event count of ``metrics_snapshot()["resilience"]`` is 0,
-  and the breakers are consulted once per exact unit: once per kernel block
-  (never per pair of the block) and once per pair that takes the per-pair
-  rung (the kNN scan's single-pair exact evaluations);
+  and the breakers are consulted once per exact unit.  Every exact unit is
+  a kernel block (a kNN survivor is a one-pair block), so the ``exact-batch``
+  breaker is consulted once per block, never per pair of the block, and the
+  per-pair rung is never taken;
 * *tracing* — traced and untraced passes return identical results with
   identical work counters, the snapshot carries usable p50/p99 for every
   instrumented stage and only canonical series names, and the span count is
@@ -48,12 +49,13 @@ BATCH_PLANS = 32
 
 #: Histograms the pass must fill with usable quantiles: per-tier resolver
 #: latencies, sidecar and shard-load timings, executor chunks, search and
-#: batch execution, and the serving batch/tick distributions.
+#: batch execution, and the serving batch/tick distributions.  The per-pair
+#: rung's ``resolver.exact_seconds`` is not among them: with a kernel every
+#: exact unit is a block, so it is checked on a ``batch=False`` session.
 REQUIRED_HISTOGRAMS = (
     "resolver.level_size_seconds",
     "resolver.degree_seconds",
     "resolver.cache_lookup_seconds",
-    "resolver.exact_seconds",
     "resolver.exact_batch_seconds",
     "sidecar.load_seconds",
     "sidecar.save_seconds",
@@ -183,11 +185,11 @@ class TestResilienceCleanPath:
         batched = (cold["batch_kernel"]["batched_pairs"]
                    + warm["batch_kernel"]["batched_pairs"])
         # Both sessions share one registry: the warm snapshot holds the
-        # pass's totals.  Single-pair exact evaluations are the ones the
-        # kNN scan resolves one at a time on the per-pair rung.
-        single = warm["histograms"]["resolver.exact_seconds"]["count"]
+        # pass's totals.  Every exact unit, the kNN survivors' one-pair
+        # blocks included, is a kernel block; no pair takes the per-pair rung.
         assert 0 < blocks < batched
-        assert default_pass["checks"] == {"exact-batch": blocks, "exact-pair": single}
+        assert "resolver.exact_seconds" not in warm["histograms"]
+        assert default_pass["checks"] == {"exact-batch": blocks}
 
 
 class TestTracingCleanPath:
@@ -210,6 +212,16 @@ class TestTracingCleanPath:
             entry = histograms[name]
             assert entry["count"] > 0, name
             assert entry["p50"] is not None and entry["p99"] is not None, name
+        # The per-pair rung records its own histogram on a batch=False session.
+        graph = barabasi_albert_graph(NODES, 2, seed=5)
+        with NedSession(TreeStore.from_graph(graph, K), batch=False) as reference:
+            reference.execute_batch(
+                [KnnPlan(reference.probe(graph, node), NEIGHBORS)
+                 for node in graph.nodes()[:4]]
+            )
+            entry = reference.metrics_snapshot()["histograms"]["resolver.exact_seconds"]
+        assert entry["count"] == reference.stats.exact_evaluations > 0
+        assert entry["p50"] is not None and entry["p99"] is not None
 
     def test_snapshot_names_are_canonical(self, traced):
         assert validate_snapshot_names(traced["snapshot"]) == []

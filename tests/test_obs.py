@@ -342,9 +342,15 @@ class TestSessionObservability:
             "resolver.survey_seconds" if batch_available()
             else "resolver.level_size_seconds"
         )
+        # Exact pairs run as kernel blocks with the kernel, else on the
+        # per-pair rung; each route records its own histogram.
+        exact_tier = (
+            "resolver.exact_batch_seconds" if batch_available()
+            else "resolver.exact_seconds"
+        )
         for name in (
             bound_tier,
-            "resolver.exact_seconds",
+            exact_tier,
             "session.execute_batch_seconds",
             "search.query_seconds",
         ):
@@ -438,7 +444,8 @@ class TestRenderers:
         assert "outer" in text and "inner" in text
 
     def test_render_metrics_summary(self, graph, store):
-        with NedSession(store) as session:
+        # batch=False: the per-pair rung records resolver.exact_seconds.
+        with NedSession(store, batch=False) as session:
             session.knn(session.probe(graph, 0), 3)
             snapshot = session.metrics_snapshot()
         text = render_metrics_summary(snapshot)

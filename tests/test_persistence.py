@@ -16,6 +16,7 @@ import pytest
 
 from repro.engine import (
     NedSearchEngine,
+    NedSession,
     ShardedTreeStore,
     TreeStore,
     pairwise_distance_matrix,
@@ -23,7 +24,7 @@ from repro.engine import (
     sharded_store_exists,
 )
 from repro.engine.shards import MANIFEST_NAME
-from repro.exceptions import DistanceError, GraphError, IndexingError
+from repro.exceptions import DistanceError, GraphError
 from repro.graph.generators import barabasi_albert_graph
 from repro.ted.resolver import DEFAULT_CACHE_SIZE, BoundedNedDistance
 
@@ -371,13 +372,14 @@ class TestCacheSidecar:
         # would never be consulted.
         deep = TreeStore.from_graph(graph, k=4)
         path = tmp_path / "cache.ned"
-        cold = NedSearchEngine(deep, mode="bound-prune", cache_file=path)
-        queries = [cold.probe(graph, node) for node in graph.nodes()[:8]]
-        cold_answers = [cold.knn(probe, 4) for probe in queries]
-        cold.save_cache()
+        with NedSession(deep, cache_file=path) as session:  # saved on close
+            cold = session.search_engine(mode="bound-prune")
+            queries = [cold.probe(graph, node) for node in graph.nodes()[:8]]
+            cold_answers = [cold.knn(probe, 4) for probe in queries]
 
-        warm = NedSearchEngine(deep, mode="bound-prune", cache_file=path)
-        warm_answers = [warm.knn(probe, 4) for probe in queries]
+        with NedSession(deep, cache_file=path) as session:
+            warm = session.search_engine(mode="bound-prune")
+            warm_answers = [warm.knn(probe, 4) for probe in queries]
         assert warm_answers == cold_answers
         assert warm.stats.exact_evaluations == 0
         lookups = warm.stats.cache_hits + warm.stats.cache_misses
@@ -467,20 +469,6 @@ class TestCacheSidecar:
         kept = small.load_cache(path)
         assert kept <= 2
 
-    def test_matrix_cache_file_requires_cache(self, dense, tmp_path):
-        with pytest.raises(DistanceError, match="cache"):
-            pairwise_distance_matrix(
-                dense, cache_size=0, cache_file=tmp_path / "cache.ned"
-            )
-        # The guard also covers a shared resolver whose cache is disabled —
-        # otherwise the sidecar would be written empty and the warm benefit
-        # silently lost.
-        disabled = BoundedNedDistance(k=dense.k, cache_size=0)
-        with pytest.raises(DistanceError, match="cache"):
-            pairwise_distance_matrix(
-                dense, resolver=disabled, cache_file=tmp_path / "cache.ned"
-            )
-
     def test_fig10_store_fingerprint_tracks_the_graph(self):
         from repro.experiments.fig10_deanonymization import _store_fingerprint
         from repro.graph.graph import Graph
@@ -495,16 +483,13 @@ class TestCacheSidecar:
 
     def test_matrix_cold_then_warm_identical_and_free(self, dense, tmp_path):
         path = tmp_path / "cache.ned"
-        cold = pairwise_distance_matrix(dense, mode="bound-prune", cache_file=path)
+        with NedSession(dense, cache_file=path) as session:
+            cold = session.pairwise_matrix(mode="bound-prune")
         assert path.exists()
-        warm = pairwise_distance_matrix(dense, mode="bound-prune", cache_file=path)
+        with NedSession(dense, cache_file=path) as session:
+            warm = session.pairwise_matrix(mode="bound-prune")
         assert warm.values == cold.values
         assert warm.stats.exact_evaluations == 0
-
-    def test_engine_save_cache_requires_a_path(self, dense):
-        engine = NedSearchEngine(dense, mode="bound-prune", cache_size=DEFAULT_CACHE_SIZE)
-        with pytest.raises(IndexingError, match="cache path"):
-            engine.save_cache()
 
 
 class TestEvictionAwareSidecar:

@@ -240,6 +240,23 @@ class TestDeadline:
         with pytest.raises(ResilienceError):
             Deadline(0.0)
 
+    def test_kernel_less_exact_scan_stops_between_pairs(self, ted_star_calls):
+        # An exact-mode scan on a batch=False session is one resolve_many
+        # block on the per-pair rung, which checks the deadline before every
+        # pair.  The fake clock reads the number of pairs evaluated so far,
+        # so the budget is spent after the third pair.
+        from repro.engine import NedSession, TreeStore
+        from repro.graph.generators import barabasi_albert_graph
+
+        graph = barabasi_albert_graph(12, 2, seed=5)
+        store = TreeStore.from_graph(graph, k=4)
+        with NedSession(store, batch=False, cache_size=0) as session:
+            probe = session.probe(graph, 0)
+            session.resolver.set_deadline(Deadline(3, clock_fn=lambda: ted_star_calls[0]))
+            with pytest.raises(DeadlineError, match="exceeded at resolver.exact$"):
+                session.top_l(probe, 3, mode="exact")
+            assert ted_star_calls[0] == 3 < len(store)
+
 
 class TestCircuitBreaker:
     def test_trips_after_consecutive_failures_only(self):

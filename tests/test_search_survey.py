@@ -3,9 +3,12 @@
 With a batch kernel attached, :class:`repro.engine.search.NedSearchEngine`
 takes every bound-prune interval of a kNN, top-L or range query from one
 store-wide :meth:`BoundedNedDistance.survey`.  A ``batch=False`` session over
-the same store runs the per-pair reference route (one ``bounds()`` or
-``resolve()`` call per candidate).  Both must return the same bits and add
-the same resolver counters; the histogram counts show which route ran.
+the same store runs the per-pair reference route (one ``bounds()`` call per
+kNN/top-L candidate, one threshold ``resolve_many`` per range query).  Both
+must return the same bits and add the same resolver counters; the histogram
+counts show which route ran.  Either way every exact TED* goes through
+``resolve_many`` → ``exact_many``: on a kernel session each open kNN/top-L
+survivor is a one-pair kernel block and no per-pair ``ted_star`` runs.
 """
 
 from __future__ import annotations
@@ -95,6 +98,29 @@ def test_survey_route_matches_the_per_pair_route(
         assert fast.stats.as_dict() == slow.stats.as_dict()
 
 
+@pytest.mark.parametrize("graph", sorted(GRAPHS))
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_exact_mode_kernel_route_matches_the_per_pair_route(graph, k, ted_star_calls):
+    # Exact-mode kNN and range run the linear index, whose measure is a
+    # one-pair resolve_many; exact top-L is one resolve_many block over the
+    # store.  The kernel session pays no per-pair ted_star for any of them.
+    store = _store(graph, k)
+    with NedSession(store, mode="exact") as fast, \
+            NedSession(store, mode="exact", batch=False) as slow:
+        for probe in _probes(store):
+            for kind, argument in (("knn", 5), ("top_l", 5), ("range_search", 3.0)):
+                paid = ted_star_calls[0]
+                answer, counters = _run(fast, kind, probe, argument)
+                assert ted_star_calls[0] == paid, (kind, argument)
+                reference, reference_counters = _run(slow, kind, probe, argument)
+                assert answer == reference, (kind, argument)
+                if kind == "top_l" and k <= 3:
+                    # The closed-form survey decides the whole scan.
+                    assert counters.exact_evaluations == 0
+                else:
+                    assert counters == reference_counters, (kind, argument)
+
+
 def _histogram_counts(session):
     histograms = session.metrics_snapshot()["histograms"]
     return {
@@ -109,18 +135,36 @@ def _histogram_counts(session):
     }
 
 
-@pytest.mark.parametrize("k", [3, 4])
-def test_each_bound_prune_query_takes_one_survey_and_no_per_pair_bounds(k):
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_each_bound_prune_query_takes_one_survey_and_no_per_pair_bounds(k, ted_star_calls):
     store = _store("tree", k)
-    probe = _probes(store)[1]
-    with NedSession(store) as session:
-        for kind, argument in (("knn", 5), ("top_l", 5), ("range_search", 3.0)):
-            before = _histogram_counts(session)
-            getattr(session, kind)(probe, argument)
-            after = _histogram_counts(session)
-            assert after["resolver.survey_seconds"] - before["resolver.survey_seconds"] == 1
-            assert after["resolver.level_size_seconds"] == before["resolver.level_size_seconds"]
-            assert after["resolver.degree_seconds"] == before["resolver.degree_seconds"]
+    queries = (("knn", 5), ("top_l", 5), ("range_search", 3.0), ("range_search", float("inf")))
+    # cache_size=0: every open survivor reaches the exact tier.
+    with NedSession(store, cache_size=0) as session, \
+            NedSession(store, cache_size=0, batch=False) as reference:
+        for probe in _probes(store):
+            for kind, argument in queries:
+                before, paid = _histogram_counts(session), ted_star_calls[0]
+                answer, counters = _run(session, kind, probe, argument)
+                after = _histogram_counts(session)
+                assert ted_star_calls[0] == paid, (kind, argument)
+                assert after["resolver.survey_seconds"] - before["resolver.survey_seconds"] == 1
+                assert after["resolver.level_size_seconds"] == before["resolver.level_size_seconds"]
+                assert after["resolver.degree_seconds"] == before["resolver.degree_seconds"]
+                assert after["resolver.exact_seconds"] == before["resolver.exact_seconds"]
+                # One kernel block per open kNN/top-L survivor; a range
+                # query's open candidates share one block.
+                blocks = (
+                    after["resolver.exact_batch_seconds"]
+                    - before["resolver.exact_batch_seconds"]
+                )
+                open_pairs = counters.exact_evaluations
+                if kind == "range_search":
+                    assert blocks == min(open_pairs, 1), (kind, argument)
+                else:
+                    assert blocks == open_pairs, (kind, argument)
+                assert _run(reference, kind, probe, argument) == (answer, counters)
+        assert (session.stats.exact_evaluations > 0) == (k > 3)
 
 
 def test_range_open_candidates_take_one_kernel_block_at_k4():

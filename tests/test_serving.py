@@ -814,14 +814,13 @@ class TestServiceProcess:
         counters, histograms = merged["counters"], merged["histograms"]
         assert counters.get("serving.dispatch_blocks", 0) > 0
         assert counters.get("shards.stream_decodes", 0) <= self.SHARDS
-        # With --min-pairs 1 every exact block goes to the workers, so the
-        # service's exact evaluations are the dispatched pairs plus the kNN
-        # scans' single-pair evaluations.
+        # With --min-pairs 1 every exact block goes to the workers, the kNN
+        # survivors' one-pair blocks included, so the service evaluates no
+        # pair itself: its exact evaluations are the dispatched pairs.
         assert "resolver.exact_batch_seconds" not in histograms
+        assert "resolver.exact_seconds" not in histograms
         assert counters.get("serving.dispatch_fallbacks", 0) == 0
-        single = histograms.get("resolver.exact_seconds", {}).get("count", 0)
-        served_exact = counters["serving.dispatch_pairs"] + single
-        assert 0 < served_exact < cold_exact
+        assert 0 < counters["serving.dispatch_pairs"] < cold_exact
 
     def test_burst_on_a_depth_one_queue_sheds_typed(self, store_dir, subprocess_env):
         from repro.serving.client import NedServiceClient

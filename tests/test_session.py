@@ -486,19 +486,6 @@ class TestReviewRegressions:
         with pytest.raises(DistanceError, match="executor"):
             NedSession(store, executor=lambda blocks: [])
 
-    def test_session_backed_engine_rejects_resolver_overrides(self, store):
-        with NedSession(store) as session:
-            with pytest.raises(IndexingError, match="backend"):
-                session.search_engine().__class__(
-                    session=session, backend="hungarian"
-                )
-            with pytest.raises(IndexingError, match="cache_size"):
-                session.search_engine().__class__(session=session, cache_size=0)
-            with pytest.raises(IndexingError, match="tiers"):
-                session.search_engine().__class__(
-                    session=session, tiers=("signature",)
-                )
-
     def test_session_adopts_sidecar_hit_counts(self, graph, store, tmp_path):
         # Hotness must accumulate across session lifecycles: open -> queries
         # -> save-on-close -> reopen, with hit counts carried forward (the
