@@ -60,6 +60,7 @@ import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Dict, Hashable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.exceptions import DistanceError
@@ -78,9 +79,10 @@ StoreLike = Union[TreeStore, ShardedTreeStore]
 
 MODES = ("exact", "bound-prune")
 #: Shortest row (or column) a matrix build bounds with one store survey; a
-#: survey costs about as much as four per-pair ``bounds()`` calls whatever
-#: its length, so shorter lines run the per-pair cascade.
-MIN_SURVEY_LINE = 4
+#: short line's survey costs about as much as two to two and a half
+#: per-pair ``bounds()`` calls (k = 3..5, level-major summaries), so lines
+#: of one or two candidates run the per-pair cascade.
+MIN_SURVEY_LINE = 3
 EXECUTORS = ("serial", "process")
 
 
@@ -92,7 +94,9 @@ class MatrixResult:
     ``col_nodes[j]`` (``inf`` for pairs pruned by a ``threshold``).
     ``row_index`` / ``col_index`` map nodes back to their positions, so
     per-pair lookups (:meth:`value`) and per-row rankings are O(1)/O(n)
-    instead of the O(n) / O(n²) a ``list.index`` scan would cost.
+    instead of the O(n) / O(n²) a ``list.index`` scan would cost.  Each is
+    built on first use: most results are read by position and never need
+    them.
     """
 
     row_nodes: List[Node]
@@ -102,12 +106,16 @@ class MatrixResult:
     executor: str
     executor_used: str
     stats: EngineStats = field(default_factory=EngineStats)
-    row_index: Dict[Node, int] = field(init=False, repr=False)
-    col_index: Dict[Node, int] = field(init=False, repr=False)
 
-    def __post_init__(self) -> None:
-        self.row_index = {node: i for i, node in enumerate(self.row_nodes)}
-        self.col_index = {node: j for j, node in enumerate(self.col_nodes)}
+    @cached_property
+    def row_index(self) -> Dict[Node, int]:
+        """Each row node's position."""
+        return {node: i for i, node in enumerate(self.row_nodes)}
+
+    @cached_property
+    def col_index(self) -> Dict[Node, int]:
+        """Each column node's position."""
+        return {node: j for j, node in enumerate(self.col_nodes)}
 
     def value(self, row_node: Node, col_node: Node) -> float:
         """Return the entry for a (row node, column node) pair in O(1)."""
@@ -287,8 +295,8 @@ def build_matrix_with_resolver(
                 values[j][i] = values[i][j]
 
     return MatrixResult(
-        row_nodes=[entry.node for entry in rows],
-        col_nodes=[entry.node for entry in cols],
+        row_nodes=row_store.nodes(),
+        col_nodes=col_store.nodes(),
         values=values,
         mode=mode,
         executor=executor,

@@ -59,6 +59,7 @@ touched-pair counts instead.
 from __future__ import annotations
 
 import bisect
+import heapq
 from contextlib import contextmanager
 from typing import Callable, Hashable, List, Optional, Tuple, Union
 
@@ -71,7 +72,6 @@ from repro.index.bktree import BKTree
 from repro.index.linear_scan import LinearScanIndex
 from repro.index.knn import MetricIndexBase
 from repro.index.vptree import VPTree
-from repro.ted.resolver import ResolutionInterval
 from repro.trees.tree import Tree
 
 Node = Hashable
@@ -335,64 +335,74 @@ class NedSearchEngine:
         bound-pruned selection takes every interval from one store-wide
         :meth:`~BoundedNedDistance.survey` (:meth:`_surveyed_select`).
         Otherwise the per-pair reference route runs :meth:`bounds` for each
-        candidate in Python; it also serves the unpruned exact scan.
+        candidate in Python (:meth:`_scanned_select`).  ``prune=False`` is
+        the exact scan (:meth:`_exact_select`).
         """
         with self._query_window() as counters:
-            if prune and self._resolver.batch_active:
+            if not prune:
+                best = self._exact_select(probe, count, tie_key)
+            elif self._resolver.batch_active:
                 best = self._surveyed_select(probe, count, tie_key)
             else:
-                best = self._scanned_select(probe, count, tie_key, prune)
+                best = self._scanned_select(probe, count, tie_key)
         return [(node, distance) for distance, _, _, node in best], counters
+
+    def _exact_select(
+        self,
+        probe: StoredTree,
+        count: int,
+        tie_key: Callable[[int, Node], object],
+    ) -> List[Tuple[float, object, int, Node]]:
+        """The exact scan: every candidate's distance, then the ``count`` best.
+
+        The whole scan goes through the resolver at once: with a batch
+        kernel under closed_form (k <= 3) one bound survey pins every pair,
+        with no cache or exact tier; otherwise the scan is one
+        ``resolve_many`` block through the cache and the exact tier.  Only
+        candidates at or below the ``count``-th smallest distance can be
+        selected, so only they get a tie key.
+        """
+        resolver = self._resolver
+        entries = self._entries
+        if resolver.batch_active and resolver.closed_form:
+            survey = resolver.survey(probe, self.store)
+            resolver.record_decided_many(survey, survey.closed)
+            distances = survey.lower.tolist()
+        else:
+            distances = [
+                value
+                for value, _ in resolver.resolve_many(
+                    [(probe, entry) for entry in entries], bounds=False
+                )
+            ]
+        cut = heapq.nsmallest(count, distances)[-1]
+        best: List[Tuple[float, object, int, Node]] = []
+        for position, distance in enumerate(distances):
+            if distance <= cut:
+                node = entries[position].node
+                _offer(best, count, (distance, tie_key(position, node), position, node))
+        return best
 
     def _scanned_select(
         self,
         probe: StoredTree,
         count: int,
         tie_key: Callable[[int, Node], object],
-        prune: bool,
     ) -> List[Tuple[float, object, int, Node]]:
-        """The per-pair reference route of :meth:`_pruned_select`."""
-        entries = self._entries
-        # Phase 1: cascade intervals for every candidate (skipped when
-        # not pruning — the exact scan is the reference path and pays
-        # full price).
-        surveyed: List[Tuple[float, float, int, StoredTree, Optional[ResolutionInterval]]]
-        if prune:
-            surveyed = [
-                (interval.lower, interval.upper, position, entry, interval)
-                for position, entry in enumerate(entries)
-                for interval in (self._resolver.bounds(probe, entry),)
-            ]
-        else:
-            surveyed = [
-                (0.0, 0.0, position, entry, None)
-                for position, entry in enumerate(entries)
-            ]
-
-        # Exact mode resolves every candidate anyway (no pruning, store
-        # order), so the whole scan goes through the resolver at once: with
-        # a batch kernel under closed_form (k <= 3) one bound survey pins
-        # every pair, with no cache or exact tier; otherwise the scan is one
-        # resolve_many block through the cache and the exact tier.
-        precomputed: Optional[List[float]] = None
+        """The per-pair reference route of bound-pruned selection."""
         resolver = self._resolver
-        if not prune and resolver.batch_active and resolver.closed_form:
-            survey = resolver.survey(probe, self.store)
-            resolver.record_decided_many(survey, survey.closed)
-            precomputed = survey.lower.tolist()
-        elif not prune:
-            precomputed = [
-                value
-                for value, _ in resolver.resolve_many(
-                    [(probe, entry) for entry in entries], bounds=False
-                )
-            ]
+        # Phase 1: cascade intervals for every candidate.
+        surveyed = [
+            (interval.lower, position, entry, interval)
+            for position, entry in enumerate(self._entries)
+            for interval in (resolver.bounds(probe, entry),)
+        ]
 
         # Phase 2: static threshold — the count-th smallest upper bound
         # is an achievable distance, so any larger lower bound is out
         # already.
-        if prune and len(surveyed) > count:
-            uppers = sorted(upper for _, upper, _, _, _ in surveyed)
+        if len(surveyed) > count:
+            uppers = sorted(interval.upper for _, _, _, interval in surveyed)
             static_tau: float = uppers[count - 1]
         else:
             static_tau = float("inf")
@@ -403,17 +413,15 @@ class NedSearchEngine:
         # component keeps tuple comparison from ever reaching the node
         # objects.
         best: List[Tuple[float, object, int, Node]] = []
-        for lower, upper, position, entry, interval in sorted(
-            surveyed, key=lambda item: (item[0], item[2])
+        for lower, position, entry, interval in sorted(
+            surveyed, key=lambda item: (item[0], item[1])
         ):
-            if interval is not None and lower > min(static_tau, _cut(best, count)):
-                self._resolver.record_pruned(interval)
+            if lower > min(static_tau, _cut(best, count)):
+                resolver.record_pruned(interval)
                 continue
-            if interval is not None and interval.exact:
-                self._resolver.record_decided(interval)
+            if interval.exact:
+                resolver.record_decided(interval)
                 distance = interval.lower
-            elif precomputed is not None:
-                distance = precomputed[position]
             else:
                 distance = resolver.exact(probe, entry)
             _offer(best, count, (distance, tie_key(position, entry.node), position, entry.node))

@@ -50,6 +50,7 @@ METRIC_NAMES = frozenset(
         # search / serving / session
         "search.query_seconds",
         "serving.batch_size",
+        "serving.connections",
         "serving.dispatch_blocks",
         "serving.dispatch_fallbacks",
         "serving.dispatch_pairs",

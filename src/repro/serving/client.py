@@ -11,16 +11,25 @@ service errors survive the round trip: a shed request raises
 :class:`~repro.exceptions.WireFormatError` — same types, same handling,
 whether the session is local or behind the service.
 
-The client is deliberately dumb: one stdlib ``http.client`` connection per
-call (thread-safe by construction — benchmark clients hammer one client
-object from many threads), no retries (that is
-:class:`repro.resilience.RetryPolicy`'s job, composed by the caller), no
-state beyond the address and default tenant.
+The client is deliberately dumb.  Each thread that calls it keeps one
+persistent HTTP/1.1 ``http.client`` connection, so a thread's calls share
+one TCP connection and many threads can share one client object, as
+benchmark senders do.  The server closes a connection after
+:data:`~repro.serving.server.IDLE_TIMEOUT_S` idle seconds, and after a
+reply that leaves a request body unread.  A call whose *reused* connection
+fails with a connection error before any reply arrives is resent once on a
+fresh connection: plans are read-only, so a resend cannot change an
+answer.  There are no other retries (that is
+:class:`repro.resilience.RetryPolicy`'s job, composed by the caller), and
+no state beyond the address, the default tenant and the connections, which
+:meth:`NedServiceClient.close` hangs up.
 """
 
 from __future__ import annotations
 
 import json
+import threading
+import weakref
 from http.client import HTTPConnection, HTTPException
 from typing import Any, Dict, List, Optional, Sequence
 
@@ -59,28 +68,59 @@ class NedServiceClient:
         self.port = port
         self.tenant = tenant
         self.timeout = timeout
+        self._local = threading.local()
+        # Every thread's connection, for close(); a finished thread's
+        # connection drops out once it is collected.
+        self._connections: "weakref.WeakSet[HTTPConnection]" = weakref.WeakSet()
+        self._connections_lock = threading.Lock()
+
+    def close(self) -> None:
+        """Close every thread's connection; a later call reconnects."""
+        with self._connections_lock:
+            connections = list(self._connections)
+        for connection in connections:
+            connection.close()
 
     # ------------------------------------------------------------------- HTTP
+    def _connection(self) -> HTTPConnection:
+        """This thread's persistent connection (connects on first request)."""
+        connection = getattr(self._local, "connection", None)
+        if connection is None:
+            connection = HTTPConnection(self.host, self.port, timeout=self.timeout)
+            self._local.connection = connection
+            with self._connections_lock:
+                self._connections.add(connection)
+        return connection
+
     def _call(
         self, method: str, path: str, payload: Optional[Dict[str, Any]] = None
     ) -> Any:
-        connection = HTTPConnection(self.host, self.port, timeout=self.timeout)
+        body = None
+        headers = {}
+        if payload is not None:
+            body = json.dumps(payload).encode("utf-8")
+            headers["Content-Type"] = "application/json"
+        connection = self._connection()
+        reused = connection.sock is not None
         try:
-            body = None
-            headers = {}
-            if payload is not None:
-                body = json.dumps(payload).encode("utf-8")
-                headers["Content-Type"] = "application/json"
             try:
                 connection.request(method, path, body=body, headers=headers)
-                raw = connection.getresponse().read()
-            except (HTTPException, OSError) as error:
-                raise WireFormatError(
-                    f"NED service at {self.host}:{self.port} unreachable "
-                    f"({type(error).__name__}: {error})"
-                ) from error
-        finally:
+                response = connection.getresponse()
+            except ConnectionError:
+                if not reused:
+                    raise
+                # The server closed the idle connection before this request
+                # reached it; close() lets the resend open a fresh one.
+                connection.close()
+                connection.request(method, path, body=body, headers=headers)
+                response = connection.getresponse()
+            raw = response.read()
+        except (HTTPException, OSError) as error:
             connection.close()
+            raise WireFormatError(
+                f"NED service at {self.host}:{self.port} unreachable "
+                f"({type(error).__name__}: {error})"
+            ) from error
         try:
             return json.loads(raw)
         except json.JSONDecodeError as error:

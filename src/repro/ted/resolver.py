@@ -63,6 +63,7 @@ import math
 import warnings
 from collections import OrderedDict
 from dataclasses import dataclass, fields
+from functools import lru_cache
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -148,13 +149,13 @@ class ResolutionCounters:
     def merge(self, other: "ResolutionCounters") -> None:
         """Accumulate ``other`` into this instance (for running totals).
 
-        Field-driven over ``dataclasses.fields(other)``: a future tier's
+        Field-driven over the dataclass fields of ``other``: a future tier's
         counters (added as new dataclass fields, possibly on a subclass) are
         merged automatically.  Counters present on ``other`` but absent here
         raise instead of silently dropping from the totals.
         """
-        mine = {spec.name for spec in fields(self)}
-        theirs = [spec.name for spec in fields(other)]
+        mine = _field_names(type(self))
+        theirs = _field_names(type(other))
         missing = [name for name in theirs if name not in mine]
         if missing:
             raise TypeError(
@@ -166,7 +167,7 @@ class ResolutionCounters:
 
     def copy(self) -> "ResolutionCounters":
         """Return an independent snapshot of the current counts."""
-        return type(self)(**{spec.name: getattr(self, spec.name) for spec in fields(self)})
+        return type(self)(**{name: getattr(self, name) for name in _field_names(type(self))})
 
     def since(self, snapshot: "ResolutionCounters") -> "ResolutionCounters":
         """Return the counter deltas accumulated after ``snapshot``.
@@ -175,16 +176,22 @@ class ResolutionCounters:
         instance's counter fields (a :meth:`copy` always does), otherwise a
         field would be silently dropped from — or missing in — the delta.
         """
-        mine = [spec.name for spec in fields(self)]
-        theirs = {spec.name for spec in fields(snapshot)}
-        if theirs != set(mine):
+        mine = _field_names(type(self))
+        theirs = _field_names(type(snapshot))
+        if set(theirs) != set(mine):
             raise TypeError(
                 f"cannot diff {type(self).__name__} against {type(snapshot).__name__}: "
-                f"counter fields differ ({sorted(set(mine) ^ theirs)})"
+                f"counter fields differ ({sorted(set(mine) ^ set(theirs))})"
             )
         return type(self)(
             **{name: getattr(self, name) - getattr(snapshot, name) for name in mine}
         )
+
+
+@lru_cache(maxsize=None)
+def _field_names(cls: type) -> Tuple[str, ...]:
+    """The dataclass field names of a counter class, looked up once per class."""
+    return tuple(spec.name for spec in fields(cls))
 
 
 @dataclass(frozen=True)
@@ -512,7 +519,9 @@ class BoundedNedDistance:
         deadline before every pair and records each pair's latency in
         ``resolver.exact_seconds``.  Under an attached breaker, batch-kernel
         failures degrade the block to the per-pair rung (bit-identical
-        values) instead of failing the build.
+        values) instead of failing the build.  An error part-way through
+        the per-pair rung carries the values of the pairs finished before
+        it as ``finished_values``, which :meth:`resolve_many` commits.
         """
         if not pairs:
             return []
@@ -544,14 +553,19 @@ class BoundedNedDistance:
                 else:
                     breaker.record_success()
                     return values
-        values = []
-        for first, second in pairs:
-            self.check_deadline("resolver.exact")
-            values.append(
-                self._timed(
-                    "resolver.exact_seconds", self._pair_exact, first.tree, second.tree
+        values: List[float] = []
+        try:
+            for first, second in pairs:
+                self.check_deadline("resolver.exact")
+                values.append(
+                    self._timed(
+                        "resolver.exact_seconds", self._pair_exact, first.tree, second.tree
+                    )
                 )
-            )
+        except BaseException as error:
+            # resolve_many commits the finished prefix before re-raising.
+            error.finished_values = values
+            raise
         return values
 
     def _kernel_block(self, kernel, pairs: Sequence[Tuple[object, object]]) -> List[float]:
@@ -584,6 +598,9 @@ class BoundedNedDistance:
         :meth:`exact_many`, which is where an attached batch kernel or block
         dispatcher pays off; ``evaluate`` stands in for :meth:`exact_many`
         as the block evaluator (the matrix builder passes a timed wrapper).
+        Each block's values are cached and counted as soon as it returns,
+        and an error part-way (a ``DeadlineError``, say) still commits the
+        pairs finished before it, so a retry pays only for the rest.
         """
         results: List[Optional[float]] = [None] * len(pairs)
         intervals: List[Optional[ResolutionInterval]] = [None] * len(pairs)
@@ -622,24 +639,33 @@ class BoundedNedDistance:
                 owners[key] = len(pending)
             pending.append(index)
             pending_keys.append(key)
-        if pending:
-            evaluate = self.exact_many if evaluate is None else evaluate
-            todo = [pairs[index] for index in pending]
-            step = block_size or len(todo)
-            values: List[float] = []
-            for offset in range(0, len(todo), step):
-                values.extend(evaluate(todo[offset:offset + step]))
-            self.counters.exact_evaluations += len(pending)
-            for slot, index in enumerate(pending):
-                value = values[slot]
+
+        def commit(offset: int, values: Sequence[float]) -> None:
+            # Cache entries, counters and results land block by block.
+            self.counters.exact_evaluations += len(values)
+            for slot, value in enumerate(values, start=offset):
                 key = pending_keys[slot]
                 if key is not None:
                     self.cache_put(key, value)
-                results[index] = value
-                intervals[index] = ResolutionInterval(value, value, EXACT_TIER)
+                results[pending[slot]] = value
+                intervals[pending[slot]] = ResolutionInterval(value, value, EXACT_TIER)
                 for follower in followers.get(slot, ()):
                     results[follower] = value
                     intervals[follower] = ResolutionInterval(value, value, CACHE_TIER)
+
+        evaluate = self.exact_many if evaluate is None else evaluate
+        step = block_size or max(len(pending), 1)
+        for offset in range(0, len(pending), step):
+            block = [pairs[index] for index in pending[offset:offset + step]]
+            try:
+                values = evaluate(block)
+            except BaseException as error:
+                # The pairs the block finished before the error (the
+                # per-pair rung attaches them) are committed, so a retry
+                # does not pay for them again.
+                commit(offset, getattr(error, "finished_values", ()))
+                raise
+            commit(offset, values)
         return list(zip(results, intervals))
 
     # ------------------------------------------------------------ bound tiers

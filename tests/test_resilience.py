@@ -29,6 +29,7 @@ from repro.resilience import (
     RetryPolicy,
     inject_io_faults,
 )
+from repro.ted.batch import batch_available
 from repro.utils.io import atomic_pickle_dump, load_validated_payload
 
 
@@ -244,18 +245,70 @@ class TestDeadline:
         # An exact-mode scan on a batch=False session is one resolve_many
         # block on the per-pair rung, which checks the deadline before every
         # pair.  The fake clock reads the number of pairs evaluated so far,
-        # so the budget is spent after the third pair.
+        # so the budget is spent after the third pair.  Those three pairs
+        # are counted and cached, so the retry pays only for the rest.
         from repro.engine import NedSession, TreeStore
         from repro.graph.generators import barabasi_albert_graph
 
         graph = barabasi_albert_graph(12, 2, seed=5)
         store = TreeStore.from_graph(graph, k=4)
-        with NedSession(store, batch=False, cache_size=0) as session:
+        with NedSession(store, batch=False) as uncut:
+            expected = uncut.top_l(uncut.probe(graph, 0), 3, mode="exact")
+            distinct = uncut.stats.exact_evaluations
+        ted_star_calls[0] = 0
+        with NedSession(store, batch=False) as session:
             probe = session.probe(graph, 0)
             session.resolver.set_deadline(Deadline(3, clock_fn=lambda: ted_star_calls[0]))
             with pytest.raises(DeadlineError, match="exceeded at resolver.exact$"):
                 session.top_l(probe, 3, mode="exact")
-            assert ted_star_calls[0] == 3 < len(store)
+            assert ted_star_calls[0] == 3 < distinct
+            assert session.stats.exact_evaluations == 3
+            assert session.resolver.cache_len() == 3
+            session.resolver.set_deadline(None)
+            assert session.top_l(probe, 3, mode="exact") == expected
+            assert ted_star_calls[0] == session.stats.exact_evaluations == distinct
+
+    @pytest.mark.parametrize(
+        "batch",
+        [
+            False,
+            pytest.param(
+                True,
+                marks=pytest.mark.skipif(
+                    not batch_available(), reason="the batch kernel needs numpy/SciPy"
+                ),
+            ),
+        ],
+    )
+    def test_cut_matrix_build_retry_pays_only_unfinished_pairs(self, batch, ted_star_calls):
+        # Blocks of 8 pairs.  Per pair, the fake clock counts ted_star calls,
+        # so the cut falls after 11 pairs: one whole block and three pairs of
+        # the next.  With the kernel, it counts committed pairs and is
+        # checked before each block, so the cut falls after two blocks.
+        from repro.engine import NedSession, PairwiseMatrixPlan, TreeStore
+        from repro.graph.generators import barabasi_albert_graph
+
+        store = TreeStore.from_graph(barabasi_albert_graph(30, 2, seed=5), k=4)
+        plan = PairwiseMatrixPlan(mode="exact", chunk_size=8)
+        with NedSession(store, batch=batch) as uncut:
+            expected = uncut.execute(plan)
+            open_pairs = uncut.stats.exact_evaluations
+        with NedSession(store, batch=batch) as session:
+            counters = session.stats
+            if batch:
+                deadline = Deadline(9, clock_fn=lambda: counters.exact_evaluations)
+            else:
+                deadline = Deadline(11, clock_fn=lambda: ted_star_calls[0])
+            session.resolver.set_deadline(deadline)
+            with pytest.raises(DeadlineError):
+                session.execute(plan)
+            finished = counters.exact_evaluations
+            assert finished == (16 if batch else 11) < open_pairs
+            assert session.resolver.cache_len() == finished
+            session.resolver.set_deadline(None)
+            retried = session.execute(plan)
+        assert retried.values == expected.values
+        assert retried.stats.exact_evaluations == open_pairs - finished
 
 
 class TestCircuitBreaker:

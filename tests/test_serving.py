@@ -696,6 +696,131 @@ class TestService:
         server.close()  # idempotent
 
 
+class TestPersistentConnections:
+    """One keep-alive connection per client thread on the NED wire."""
+
+    @staticmethod
+    def _connections(session):
+        return session.metrics.snapshot()["counters"].get("serving.connections", 0)
+
+    def test_one_connection_per_client_thread(self, demo_store):
+        import threading
+
+        from repro.serving.client import NedServiceClient
+        from repro.serving.server import NedServiceServer
+
+        session = NedSession(demo_store)
+        with NedServiceServer(session, workers=0) as server:
+            client = NedServiceClient(port=server.port)
+            for _ in range(10):
+                client.status()
+            assert self._connections(session) == 1
+
+            def calls():
+                for _ in range(5):
+                    client.status()
+
+            threads = [threading.Thread(target=calls) for _ in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+            assert self._connections(session) == 3
+            client.close()
+
+    def test_sequential_plans_do_not_wait_for_delayed_acks(
+        self, demo_graph, demo_store
+    ):
+        # With Nagle's algorithm on the server socket, each reply's body
+        # waits for the client's delayed ACK of its headers: at least
+        # 40 ms per request on a reused connection.
+        from repro.serving.client import NedServiceClient
+        from repro.serving.server import NedServiceServer
+        from repro.utils.timer import clock
+
+        session = NedSession(demo_store)
+        plan = KnnPlan(session.probe(demo_graph, 0), 3)
+        with NedServiceServer(session, workers=0) as server:
+            client = NedServiceClient(port=server.port)
+            client.execute(plan)
+            started = clock()
+            for _ in range(20):
+                client.execute(plan)
+            elapsed = clock() - started
+            client.close()
+        assert self._connections(session) == 1
+        assert elapsed < 20 * 0.040
+
+    def test_unread_body_reject_closes_and_the_client_reconnects(self, demo_store):
+        from repro.serving.client import NedServiceClient
+        from repro.serving.server import NedServiceServer
+
+        session = NedSession(demo_store)
+        with NedServiceServer(session, workers=0) as server:
+            client = NedServiceClient(port=server.port)
+            client.status()
+            # A bad length on the client's own connection: 400, body unread.
+            connection = client._connection()
+            connection.putrequest("POST", protocol.PATH_PLANS)
+            connection.putheader("Content-Length", "twelve")
+            connection.endheaders()
+            response = connection.getresponse()
+            response.read()
+            assert response.status == 400
+            assert response.getheader("Connection") == "close"
+            assert client.status()[protocol.F_K] == K
+            client.close()
+        counters = session.metrics.snapshot()["counters"]
+        assert counters["serving.rejected_bodies"] == 1
+        assert counters["serving.connections"] == 2
+
+    def test_idle_timeout_close_is_resent_once_on_a_fresh_connection(
+        self, demo_store, monkeypatch
+    ):
+        import time
+
+        from repro.serving import server as server_module
+        from repro.serving.client import NedServiceClient
+
+        monkeypatch.setattr(server_module, "IDLE_TIMEOUT_S", 0.2)
+        session = NedSession(demo_store)
+        with server_module.NedServiceServer(session, workers=0) as server:
+            client = NedServiceClient(port=server.port)
+            client.status()
+            connection = client._connection()
+            sent = []
+            request = connection.request
+
+            def counting_request(*args, **kwargs):
+                sent.append(args[:2])
+                return request(*args, **kwargs)
+
+            connection.request = counting_request
+            time.sleep(1.0)  # the server closes the idle connection
+            assert client.status()[protocol.F_K] == K
+            assert sent == [("GET", protocol.PATH_STATUS)] * 2
+            client.close()
+        assert self._connections(session) == 2
+
+    def test_close_does_not_wait_for_idle_connections(self, demo_store):
+        from repro.serving.client import NedServiceClient
+        from repro.serving.server import NedServiceServer
+        from repro.utils.timer import clock
+
+        session = NedSession(demo_store)
+        server = NedServiceServer(session, workers=0).start()
+        client = NedServiceClient(port=server.port, timeout=5.0)
+        client.status()  # leaves an idle keep-alive connection open
+        started = clock()
+        server.close()
+        assert clock() - started < 3.0
+        # The reused connection is gone and so is the server: the resend
+        # finds nobody listening, which is a typed error.
+        with pytest.raises(WireFormatError, match="unreachable"):
+            client.status()
+
+
 # ---------------------------------------------------------------------------
 # `python -m repro.serving` as a real subprocess
 # ---------------------------------------------------------------------------
@@ -821,6 +946,8 @@ class TestServiceProcess:
         assert "resolver.exact_seconds" not in histograms
         assert counters.get("serving.dispatch_fallbacks", 0) == 0
         assert 0 < counters["serving.dispatch_pairs"] < cold_exact
+        # One persistent connection per client, plus the telemetry call's.
+        assert counters["serving.connections"] <= self.CLIENTS + 1
 
     def test_burst_on_a_depth_one_queue_sheds_typed(self, store_dir, subprocess_env):
         from repro.serving.client import NedServiceClient
