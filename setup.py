@@ -18,6 +18,9 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.9",
+    # The engine's bound survey is numpy; SciPy (the batch TED* kernel and
+    # the scipy matching backend) stays optional.
+    install_requires=["numpy"],
     entry_points={
         "console_scripts": [
             # experiment drivers (figures/tables + cache compaction)

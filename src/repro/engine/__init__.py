@@ -26,6 +26,9 @@ warm piece of state:
   (:mod:`repro.ted.batch`), so that route evaluates pair blocks (a point
   query's survivor is a one-pair block) over pre-compiled parent arrays,
   bit-identical to the per-pair scipy path (opt out with ``batch=False``).
+  Every bound-pruned query and matrix build takes its intervals from one
+  numpy bound survey per probe (:mod:`repro.ted.survey`), so the engine
+  needs numpy; SciPy stays optional.
 * :mod:`repro.engine.matrix` — chunked pairwise/cross distance matrices
   (``serial`` / ``process`` executors, ``bound-prune`` mode); the
   module-level functions open a default session per build.

@@ -2,8 +2,8 @@
 
 Builds full pairwise (one store) or cross (two stores) distance matrices —
 the workhorse behind kNN-for-every-node sweeps and de-anonymization runs.
-Every build takes the route point queries take: the bound survey (or the
-per-cell cascade) settles what it can, and the open cells go through one
+Every build takes the route point queries take: the bound survey settles
+what it can, and the open cells go through one
 :meth:`~repro.ted.resolver.BoundedNedDistance.resolve_many` call — cache
 lookups, within-build dedup, then exact TED* in
 :meth:`~repro.ted.resolver.BoundedNedDistance.exact_many` blocks of
@@ -21,21 +21,20 @@ orthogonal knobs:
   cannot start at all (restricted sandboxes), it declines every later
   block, the resolver evaluates those locally, and ``executor_used``
   records the fallback.  Only blocks not yet returned are recomputed.
-* ``mode`` — ``"exact"`` evaluates every pair; ``"bound-prune"`` first runs
-  each pair through the :class:`repro.ted.resolver.BoundedNedDistance`
-  cascade (signature → level-size → degree-multiset): a tier that pins the
-  distance forces it outright, and (when a ``threshold`` is given) a lower
-  bound above the threshold marks the pair ``inf`` without ever computing
-  it — the data-skipping move: answer from the summary, touch the expensive
-  evaluation only when forced.  The session's ``tiers`` restrict the
-  cascade for ablations (e.g. level-size only).  With the batch kernel
-  active, the cascade runs as one
-  :meth:`~repro.ted.resolver.BoundedNedDistance.survey` per row (or column)
-  instead of per cell, and ``"exact"`` builds take the survey too where it
-  pins every pair (k ≤ 3 with the degree tier on, see
+* ``mode`` — ``"exact"`` evaluates every pair; ``"bound-prune"`` first
+  bounds each pair with the :class:`repro.ted.resolver.BoundedNedDistance`
+  cascade (signature → level-size → degree-multiset), run as one numpy
+  :meth:`~repro.ted.resolver.BoundedNedDistance.survey` per row (or
+  column): a tier that pins the distance forces it outright, and (when a
+  ``threshold`` is given) a lower bound above the threshold marks the pair
+  ``inf`` without ever computing it — the data-skipping move: answer from
+  the summary, touch the expensive evaluation only when forced.  The
+  session's ``tiers`` restrict the cascade for ablations (e.g. level-size
+  only).  With the batch kernel active, ``"exact"`` builds take the survey
+  too where it pins every pair (k ≤ 3 with the degree tier on, see
   :attr:`~repro.ted.resolver.BoundedNedDistance.closed_form`): those builds
   never reach the cache, the kernel or the executor.  ``batch=False``
-  sessions keep the per-cell cascade and per-pair TED*, the reference path.
+  sessions evaluate every exact-mode pair with per-pair TED*.
 * ``cache_size`` — a session setting: capacity of the signature-keyed
   distance cache (0 disables every signature-based shortcut, including
   within-build dedup).  TED* depends only on the isomorphism classes of the
@@ -78,11 +77,6 @@ Node = Hashable
 StoreLike = Union[TreeStore, ShardedTreeStore]
 
 MODES = ("exact", "bound-prune")
-#: Shortest row (or column) a matrix build bounds with one store survey; a
-#: short line's survey costs about as much as two to two and a half
-#: per-pair ``bounds()`` calls (k = 3..5, level-major summaries), so lines
-#: of one or two candidates run the per-pair cascade.
-MIN_SURVEY_LINE = 3
 EXECUTORS = ("serial", "process")
 
 
@@ -231,10 +225,7 @@ def build_matrix_with_resolver(
     counter_snapshot = resolver.counters.copy()
 
     with tracer.span("matrix.survey", rows=len(rows), cols=len(cols)):
-        surveyed = resolver.batch_active and (
-            mode == "bound-prune" or resolver.closed_form
-        )
-        if surveyed:
+        if mode == "bound-prune" or (resolver.batch_active and resolver.closed_form):
             # The bound tiers for a whole row (or column) per array pass;
             # only the pairs the survey leaves open reach resolve_many.
             values, cells = _survey_cells(
@@ -262,21 +253,19 @@ def build_matrix_with_resolver(
         metrics.inc("executor.chunks")
         return block_values
 
-    # Open cells: the per-cell cascade (unless surveyed), the cache with
-    # within-build dedup, then exact blocks through the attached dispatcher.
+    # Open cells: the cache with within-build dedup, then exact blocks
+    # through the attached dispatcher.
     with _dispatcher(
         executor, row_store, resolver, max_workers, metrics, faults, retry
     ) as dispatcher:
         with tracer.span("matrix.exact", pairs=len(cells)):
             resolved = resolver.resolve_many(
                 [(rows[i], cols[j]) for i, j in cells],
-                threshold=threshold if mode == "bound-prune" else None,
-                bounds=mode == "bound-prune" and not surveyed,
                 block_size=chunk_size,
                 evaluate=evaluate,
             )
     for (i, j), (value, _) in zip(cells, resolved):
-        values[i][j] = math.inf if value is None else value
+        values[i][j] = value
 
     # Fold only this build's counter deltas into the result's stats (the
     # resolver keeps its own session-lifetime totals).
@@ -365,12 +354,10 @@ def _survey_cells(
     One :meth:`BoundedNedDistance.survey` per row against the columns (the
     upper triangle for a symmetric build), or per column against the rows
     when there are fewer columns, so each survey covers the longer side.
-    Lines shorter than :data:`MIN_SURVEY_LINE` run :meth:`bounds` pair by
-    pair instead.  Bounds are symmetric, so the orientation changes neither
-    intervals nor counters.  Cells beyond ``threshold`` become ``inf`` and
-    closed cells take their value, credited exactly as the per-cell cascade
-    credits them; the open cells come back in row-major order, the order of
-    the per-cell loop, for the cache and exact tiers.
+    Bounds are symmetric, so the orientation changes neither intervals nor
+    counters.  Cells beyond ``threshold`` become ``inf`` (credited as
+    pruned) and closed cells take their value (credited as decided); the
+    open cells come back in row-major order for the cache and exact tiers.
     """
     import numpy as np
 
@@ -382,21 +369,17 @@ def _survey_cells(
     )
     for index, probe in enumerate(probes):
         start = index + 1 if symmetric else 0
-        if len(candidates) - start < MIN_SURVEY_LINE:
-            lower, pruned, closed = _bound_line(
-                resolver, probe, candidates[start:], threshold
-            )
+        if start == len(candidates):
+            break  # the last row of a symmetric build has no upper triangle
+        survey = resolver.survey(probe, store, start=start)
+        if threshold is None:
+            pruned = np.zeros(len(survey), dtype=bool)
         else:
-            survey = resolver.survey(probe, store, start=start)
-            if threshold is None:
-                pruned = np.zeros(len(survey), dtype=bool)
-            else:
-                pruned = survey.lower > threshold
-            closed = survey.closed & ~pruned
-            resolver.record_pruned_many(survey, pruned)
-            resolver.record_decided_many(survey, closed)
-            lower = survey.lower
-        line = np.where(pruned, math.inf, lower)
+            pruned = survey.lower > threshold
+        closed = survey.closed & ~pruned
+        resolver.record_pruned_many(survey, pruned)
+        resolver.record_decided_many(survey, closed)
+        line = np.where(pruned, math.inf, survey.lower)
         others = (np.flatnonzero(~(pruned | closed)) + start).tolist()
         if transposed:
             grid[:, index] = line
@@ -408,29 +391,3 @@ def _survey_cells(
         opened.sort()
     return grid.tolist(), opened
 
-
-def _bound_line(
-    resolver: BoundedNedDistance,
-    probe,
-    candidates: Sequence,
-    threshold: Optional[float],
-) -> Tuple[Any, Any, Any]:
-    """The per-pair cascade over a short line, as survey-shaped arrays."""
-    import numpy as np
-
-    lower, pruned, closed = [], [], []
-    for candidate in candidates:
-        interval = resolver.bounds(probe, candidate)
-        excluded = threshold is not None and interval.excludes(threshold)
-        if excluded:
-            resolver.record_pruned(interval)
-        elif interval.exact:
-            resolver.record_decided(interval)
-        lower.append(interval.lower)
-        pruned.append(excluded)
-        closed.append(interval.exact and not excluded)
-    return (
-        np.array(lower, dtype=float),
-        np.array(pruned, dtype=bool),
-        np.array(closed, dtype=bool),
-    )

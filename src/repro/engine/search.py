@@ -19,14 +19,10 @@ modes differ only in *which* pruning machinery drives it:
   skipping: the cascade's interval resolves candidates outright when it can,
   a static threshold (the count-th smallest upper bound) discards candidates
   before any exact work, and a dynamic threshold tightens as results come in.
-  With a batch kernel attached (``resolver.batch_active``), every interval
-  of a query comes from one store-wide
+  Every interval of a query comes from one store-wide
   :meth:`~repro.ted.resolver.BoundedNedDistance.survey` (a few numpy
-  operations).  Without one, the reference route calls ``bounds()`` once
-  per kNN/top-L candidate, and a range query is one
-  :meth:`~repro.ted.resolver.BoundedNedDistance.resolve_many` call with the
-  radius as threshold.  Both routes return the same bits and add the same
-  resolver counters.
+  operations, so this mode needs numpy); the counters it adds are those of
+  a per-candidate ``bounds()`` loop.
 
 Every exact TED* a query pays — kNN/top-L survivors, a range query's open
 candidates, an exact-mode scan, a metric index's measure — goes through the
@@ -203,11 +199,7 @@ class NedSearchEngine:
             raise IndexingError(f"count must be positive, got {count}")
         probe = self._coerce(query)
         if self.mode == "bound-prune":
-            selected, counters = self._pruned_select(
-                probe, count=count, tie_key=lambda position, node: position
-            )
-            self._record(counters)
-            return selected
+            return self._select(probe, count, tie_key=lambda position, node: position)
         return self._indexed_knn(probe, count)
 
     def range_search(self, query: Query, radius: float) -> List[Tuple[Node, float]]:
@@ -217,18 +209,7 @@ class NedSearchEngine:
         probe = self._coerce(query)
         if self.mode == "bound-prune":
             with self._query_window() as counters:
-                if self._resolver.batch_active:
-                    matches = self._surveyed_range(probe, radius)
-                else:
-                    resolved = self._resolver.resolve_many(
-                        [(probe, entry) for entry in self._entries], threshold=radius
-                    )
-                    matches = [
-                        (entry.node, value)
-                        for entry, (value, _) in zip(self._entries, resolved)
-                        if value is not None and value <= radius
-                    ]
-                    matches.sort(key=lambda pair: pair[1])
+                matches = self._surveyed_range(probe, radius)
             self._record(counters)
             return matches
         index = self._get_index()
@@ -247,15 +228,12 @@ class NedSearchEngine:
         """
         if top_l <= 0:
             raise IndexingError(f"top_l must be positive, got {top_l}")
-        probe = self._coerce(query)
-        selected, counters = self._pruned_select(
-            probe,
-            count=top_l,
+        return self._select(
+            self._coerce(query),
+            top_l,
             tie_key=lambda position, node: repr(node),
             prune=self.mode != "exact",
         )
-        self._record(counters)
-        return selected
 
     @property
     def last_query_distance_calls(self) -> int:
@@ -316,13 +294,13 @@ class NedSearchEngine:
         self._record(counters)
         return [(item.node, distance) for item, distance in result]
 
-    def _pruned_select(
+    def _select(
         self,
         probe: StoredTree,
         count: int,
         tie_key: Callable[[int, Node], object],
         prune: bool = True,
-    ) -> Tuple[List[Tuple[Node, float]], EngineStats]:
+    ) -> List[Tuple[Node, float]]:
         """Select the ``count`` closest candidates with bound-based skipping.
 
         The selection is exact: a candidate is only skipped when its lower
@@ -330,22 +308,17 @@ class NedSearchEngine:
         which is tie-break-agnostic (ties at the cut never involve pruned
         candidates, whose distances are strictly larger).
 
-        Two routes make the same decisions with the same counters.  With a
-        batch kernel attached (:attr:`BoundedNedDistance.batch_active`),
-        bound-pruned selection takes every interval from one store-wide
-        :meth:`~BoundedNedDistance.survey` (:meth:`_surveyed_select`).
-        Otherwise the per-pair reference route runs :meth:`bounds` for each
-        candidate in Python (:meth:`_scanned_select`).  ``prune=False`` is
-        the exact scan (:meth:`_exact_select`).
+        Bound-pruned selection takes every interval from one store-wide
+        :meth:`~BoundedNedDistance.survey` (:meth:`_surveyed_select`);
+        ``prune=False`` is the exact scan (:meth:`_exact_select`).
         """
         with self._query_window() as counters:
-            if not prune:
-                best = self._exact_select(probe, count, tie_key)
-            elif self._resolver.batch_active:
+            if prune:
                 best = self._surveyed_select(probe, count, tie_key)
             else:
-                best = self._scanned_select(probe, count, tie_key)
-        return [(node, distance) for distance, _, _, node in best], counters
+                best = self._exact_select(probe, count, tie_key)
+        self._record(counters)
+        return [(node, distance) for distance, _, _, node in best]
 
     def _exact_select(
         self,
@@ -369,12 +342,8 @@ class NedSearchEngine:
             resolver.record_decided_many(survey, survey.closed)
             distances = survey.lower.tolist()
         else:
-            distances = [
-                value
-                for value, _ in resolver.resolve_many(
-                    [(probe, entry) for entry in entries], bounds=False
-                )
-            ]
+            resolved = resolver.resolve_many([(probe, entry) for entry in entries])
+            distances = [value for value, _ in resolved]
         cut = heapq.nsmallest(count, distances)[-1]
         best: List[Tuple[float, object, int, Node]] = []
         for position, distance in enumerate(distances):
@@ -383,62 +352,18 @@ class NedSearchEngine:
                 _offer(best, count, (distance, tie_key(position, node), position, node))
         return best
 
-    def _scanned_select(
-        self,
-        probe: StoredTree,
-        count: int,
-        tie_key: Callable[[int, Node], object],
-    ) -> List[Tuple[float, object, int, Node]]:
-        """The per-pair reference route of bound-pruned selection."""
-        resolver = self._resolver
-        # Phase 1: cascade intervals for every candidate.
-        surveyed = [
-            (interval.lower, position, entry, interval)
-            for position, entry in enumerate(self._entries)
-            for interval in (resolver.bounds(probe, entry),)
-        ]
-
-        # Phase 2: static threshold — the count-th smallest upper bound
-        # is an achievable distance, so any larger lower bound is out
-        # already.
-        if len(surveyed) > count:
-            uppers = sorted(interval.upper for _, _, _, interval in surveyed)
-            static_tau: float = uppers[count - 1]
-        else:
-            static_tau = float("inf")
-
-        # Phase 3: resolve candidates in ascending lower-bound order with
-        # a dynamically tightening threshold.
-        # Sorted ascending by (distance, tie); the unique position
-        # component keeps tuple comparison from ever reaching the node
-        # objects.
-        best: List[Tuple[float, object, int, Node]] = []
-        for lower, position, entry, interval in sorted(
-            surveyed, key=lambda item: (item[0], item[1])
-        ):
-            if lower > min(static_tau, _cut(best, count)):
-                resolver.record_pruned(interval)
-                continue
-            if interval.exact:
-                resolver.record_decided(interval)
-                distance = interval.lower
-            else:
-                distance = resolver.exact(probe, entry)
-            _offer(best, count, (distance, tie_key(position, entry.node), position, entry.node))
-        return best
-
     def _surveyed_select(
         self,
         probe: StoredTree,
         count: int,
         tie_key: Callable[[int, Node], object],
     ) -> List[Tuple[float, object, int, Node]]:
-        """The survey route of :meth:`_pruned_select`.
+        """Bound-pruned selection on one store survey.
 
         One :meth:`~BoundedNedDistance.survey` gives every interval.  The
-        static threshold is the ``count``-th smallest upper bound
-        (``np.partition``); every candidate whose lower bound exceeds it is
-        pruned in bulk.  Survivors then run the reference route's loop in
+        static threshold is the ``count``-th smallest upper bound (an
+        achievable distance; ``np.partition``); every candidate whose lower
+        bound exceeds it is pruned in bulk.  Survivors are then visited in
         ascending ``(lower, position)`` order: closed intervals are decided,
         open ones pay one exact evaluation each (a one-pair kernel block),
         and the first survivor above ``min(static, dynamic)`` ends the loop,
@@ -488,9 +413,8 @@ class NedSearchEngine:
         closed intervals are decided, both credited in bulk.  The open
         candidates go, in store order, through one
         :meth:`~BoundedNedDistance.resolve_many` block (cache, then the
-        batch kernel), with the counters a per-candidate :meth:`resolve`
-        loop makes.  Matches are sorted by distance, then store position,
-        as the reference route's stable sort leaves them.
+        exact tier), with the counters a per-candidate :meth:`resolve`
+        loop makes.  Matches are sorted by distance, then store position.
         """
         import numpy as np
 
@@ -504,9 +428,7 @@ class NedSearchEngine:
         lowers = survey.lower.tolist()
         matches = [(lowers[position], position) for position in np.flatnonzero(closed).tolist()]
         pending = np.flatnonzero(~(pruned | closed)).tolist()
-        resolved = resolver.resolve_many(
-            [(probe, entries[position]) for position in pending], bounds=False
-        )
+        resolved = resolver.resolve_many([(probe, entries[position]) for position in pending])
         matches.extend(
             (value, position)
             for position, (value, _) in zip(pending, resolved)

@@ -253,8 +253,10 @@ class NedSession:
         — every exact TED* the session pays (matrix cells, point-query
         survivors, exact-mode scans) then runs as a kernel block, with
         values bit-identical to the per-pair path.  ``True`` makes a
-        missing prerequisite an error; ``False`` opts out (the per-pair
-        reference the tests compare against).
+        missing prerequisite an error; ``False`` keeps the exact tier on
+        per-pair TED* (the reference the tests compare against).  The
+        setting changes only the exact tier: bound-pruned queries and
+        builds take their intervals from the numpy bound survey either way.
     resilience:
         A :class:`repro.resilience.ResiliencePolicy` wired through every
         layer the session owns (shard decodes, sidecar load/save, matrix
@@ -408,7 +410,7 @@ class NedSession:
         exact-mode scans) then run array-native with bit-identical values.
         ``batch=True`` insists (raising when the kernel cannot be value-
         compatible or its dependencies are missing); ``batch=False`` opts
-        out entirely.
+        the exact tier out (bound-pruned surfaces still survey with numpy).
         """
         resolver = self._resolver
         if batch is False:

@@ -80,6 +80,10 @@ MAX_REQUEST_BYTES = 8 * 1024 * 1024
 #: before the server closes it; clients resend on a fresh connection.
 IDLE_TIMEOUT_S = 30.0
 
+#: Seconds between the HTTP loop's shutdown checks: :meth:`NedServiceServer.close`
+#: waits up to this long for the loop to notice (the stdlib default is 0.5 s).
+SHUTDOWN_POLL_S = 0.05
+
 
 class _HTTPServer(ThreadingHTTPServer):
     """The service's HTTP front: daemonic per-connection threads.
@@ -89,7 +93,9 @@ class _HTTPServer(ThreadingHTTPServer):
     :meth:`NedServiceServer.close`, not to whichever client forgot to
     hang up.  It therefore stops reading every open connection: a handler
     idling between requests sees end of input and exits at once, and one
-    mid-request still sends its reply first.
+    mid-request still sends its reply first.  A request a handler reads
+    after ``server_close`` began (Linux still queues data on a socket whose
+    reading side is shut) is not answered: the connection just ends.
     """
 
     daemon_threads = True
@@ -97,6 +103,7 @@ class _HTTPServer(ThreadingHTTPServer):
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         self._open: Set[socket.socket] = set()
         self._open_lock = threading.Lock()
+        self.closing = False
         super().__init__(*args, **kwargs)
 
     def process_request(self, request: Any, client_address: Any) -> None:
@@ -112,6 +119,7 @@ class _HTTPServer(ThreadingHTTPServer):
         super().shutdown_request(request)
 
     def server_close(self) -> None:
+        self.closing = True
         super().server_close()
         with self._open_lock:
             open_connections = list(self._open)
@@ -235,7 +243,8 @@ class NedServiceServer:
         )
         self.port = self._http.server_address[1]
         self._http_thread = threading.Thread(
-            target=self._http.serve_forever, name="ned-serve-http", daemon=True
+            target=self._http.serve_forever, args=(SHUTDOWN_POLL_S,),
+            name="ned-serve-http", daemon=True,
         )
         self._http_thread.start()
         return self
@@ -410,6 +419,12 @@ def _make_handler(service: NedServiceServer):
         def setup(self) -> None:
             super().setup()
             service.session.metrics.inc("serving.connections")
+
+        def parse_request(self) -> bool:
+            if self.server.closing:
+                self.close_connection = True
+                return False
+            return super().parse_request()
 
         # Quiet by default: the service's telemetry endpoint is the
         # observable surface, not per-request stderr lines.

@@ -13,9 +13,10 @@
   (Section 11: GED ≤ 2·TED*, TED ≤ δ_T(W+)).
 * :mod:`repro.ted.resolver` — :class:`BoundedNedDistance`, the staged
   distance-resolution cascade consumed by the engine's matrices and
-  bound-pruned searches; resolves pair blocks (:meth:`~repro.ted.resolver.
-  BoundedNedDistance.resolve_many`), of which the one-pair
-  :meth:`~repro.ted.resolver.BoundedNedDistance.resolve` is a special case.
+  bound-pruned searches; bounds a probe against a whole store in one numpy
+  survey (:meth:`~repro.ted.resolver.BoundedNedDistance.survey`) and
+  resolves the open pairs as exact blocks (:meth:`~repro.ted.resolver.
+  BoundedNedDistance.resolve_many`).
 * :mod:`repro.ted.batch` — the array-native batch TED* kernel: stores are
   pre-compiled once into contiguous numpy arrays (per-level slices of the
   canonical parent arrays) and many pairs are evaluated per call with

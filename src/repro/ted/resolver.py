@@ -31,18 +31,20 @@ Every exact evaluation takes one route, whoever asks for it:
 :meth:`BoundedNedDistance.resolve_many` (cache lookups, within-block dedup)
 hands the open pairs to :meth:`~BoundedNedDistance.exact_many`, which offers
 the block to an attached dispatcher, else the batch kernel, else the
-per-pair rung (per-pair ``ted_star`` behind the degradation ladder).  A point
-query's :meth:`~BoundedNedDistance.resolve` or
-:meth:`~BoundedNedDistance.exact` is a one-pair ``resolve_many``.
+per-pair rung (per-pair ``ted_star`` behind the degradation ladder).
+:meth:`~BoundedNedDistance.exact` is a one-pair ``resolve_many``, and
+:meth:`~BoundedNedDistance.resolve` pays one only when ``bounds()`` leaves
+the interval open.
 
 Inputs are summary records (duck-typed: ``.tree``, ``.signature``,
 ``.level_sizes``, ``.degree_profiles`` — e.g.
 :class:`repro.engine.tree_store.StoredTree`), so resolution never touches a
 graph.  :meth:`BoundedNedDistance.survey` runs tiers 1–3 for one probe
-against a whole store in a few array operations (:mod:`repro.ted.survey`),
+against a whole store in a few numpy operations (:mod:`repro.ted.survey`),
 with the same intervals and counters as a loop of
-:meth:`~BoundedNedDistance.bounds`; the matrix builder and exact-mode scans
-use it whenever the batch kernel is active.  Every tier evaluation and
+:meth:`~BoundedNedDistance.bounds`: every bound-pruned query and matrix
+build takes its intervals from it, and ``bounds()`` stays as the per-pair
+reference the survey is tested against.  Every tier evaluation and
 every outcome (hit / decided / pruned / cached / exact) is recorded in
 per-tier counters, which is how the benchmarks prove *where* exact
 evaluations were skipped.
@@ -580,16 +582,13 @@ class BoundedNedDistance:
     def resolve_many(
         self,
         pairs: Sequence[Tuple[object, object]],
-        threshold: Optional[float] = None,
-        bounds: bool = True,
         block_size: Optional[int] = None,
         evaluate=None,
-    ) -> List[Tuple[Optional[float], ResolutionInterval]]:
-        """Run the cascade over a block of pairs, batching the exact tier.
+    ) -> List[Tuple[float, ResolutionInterval]]:
+        """Resolve a block of pairs on the exact path: the cache, then exact.
 
-        Counter-for-counter equivalent to resolving the pairs one at a time
-        in order (:meth:`resolve` and, with ``bounds=False``, :meth:`exact`
-        are its one-pair forms), with one deliberate refinement: pairs whose
+        Counter-for-counter equivalent to calling :meth:`exact` on the pairs
+        one at a time in order, with one deliberate refinement: pairs whose
         cache key repeats *within the block* are deduplicated — the first
         occurrence pays the exact evaluation and followers are counted as
         cache hits, exactly as they would be had the pairs been resolved
@@ -609,17 +608,6 @@ class BoundedNedDistance:
         owners: Dict[Tuple[str, str], int] = {}
         followers: Dict[int, List[int]] = {}
         for index, (first, second) in enumerate(pairs):
-            if bounds:
-                interval = self.bounds(first, second)
-                if threshold is not None and interval.excludes(threshold):
-                    self.record_pruned(interval)
-                    intervals[index] = interval
-                    continue
-                if interval.exact:
-                    self.record_decided(interval)
-                    results[index] = interval.lower
-                    intervals[index] = interval
-                    continue
             key = self.cache_key(first, second)
             if key is not None:
                 owner = owners.get(key)
@@ -955,7 +943,7 @@ class BoundedNedDistance:
     # ------------------------------------------------------------- exact tier
     def exact(self, first, second) -> float:
         """Resolve a pair on the exact path: a one-pair :meth:`resolve_many`."""
-        return self.resolve_many([(first, second)], bounds=False)[0][0]
+        return self.resolve_many([(first, second)])[0][0]
 
     # -------------------------------------------------------------- outcomes
     def record_pruned(self, interval: ResolutionInterval) -> None:
@@ -1000,7 +988,14 @@ class BoundedNedDistance:
         responsible tier.  Otherwise ``value`` is the exact distance, paid
         for only when the cheap tiers left the interval open.
         """
-        return self.resolve_many([(first, second)], threshold=threshold)[0]
+        interval = self.bounds(first, second)
+        if threshold is not None and interval.excludes(threshold):
+            self.record_pruned(interval)
+            return None, interval
+        if interval.exact:
+            self.record_decided(interval)
+            return interval.lower, interval
+        return self.resolve_many([(first, second)])[0]
 
     def distance(self, first, second) -> float:
         """Return the exact distance through the cascade (never prunes)."""

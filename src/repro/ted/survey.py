@@ -31,7 +31,8 @@ The packed layout:
 * ``signature_ids`` — each candidate's signature as an integer id, so the
   signature tier is one comparison against the probe's id.
 
-numpy is imported lazily: the survey runs only where the batch kernel does.
+numpy is imported lazily, so :mod:`repro.ted` imports without it; the
+engine, whose bound-pruned queries and matrix builds all survey, needs it.
 """
 
 from __future__ import annotations

@@ -10,7 +10,9 @@ exactly one injected fault, and asserts the engine's resilience contract:
 * a *persistent* fault (on-disk corruption, exhausted retries) surfaces as
   the layer's *typed* error — never a hang, never a silently wrong result;
 * on-disk artifacts not deliberately corrupted stay loadable (atomic writes
-  never tear the previous file).
+  never tear the previous file);
+* no retry re-pays a pair that had finished: a healed run's resolver
+  counters (``exact_evaluations`` first) equal a fault-free run's.
 
 Fault schedules are deterministic: ``REPRO_CHAOS_SEEDS`` (comma-separated)
 parameterizes the seeds, so CI can sweep many schedules while any failure
@@ -66,7 +68,20 @@ def arena(tmp_path_factory, graph):
     store = ShardedTreeStore.load(root / "store", max_resident=2)
     with NedSession(store, cache_file=root / "cache.ned", resilience=False) as session:
         reference = _run_workload(session, graph)
-    return {"root": root, "reference": reference}
+    # Fault-free resolver counters to hold healed runs to: the workload on
+    # a warm copy of the artifacts, a cold matrix build, cold exact kNN.
+    shutil.copytree(root / "store", root / "warm" / "store")
+    shutil.copy(root / "cache.ned", root / "warm" / "cache.ned")
+    warm_store = ShardedTreeStore.load(root / "warm" / "store", max_resident=2)
+    with NedSession(warm_store, cache_file=root / "warm" / "cache.ned") as session:
+        _run_workload(session, graph)
+    counters = {"warm": session.metrics_snapshot()["resolution"]}
+    with NedSession(store) as session:
+        counters["matrix"] = session.pairwise_matrix(mode="exact").stats.exact_evaluations
+    with NedSession(store, batch=False) as session:
+        session.execute_batch(_exact_knn_plans(session, graph))
+        counters["exact_knn"] = session.stats.exact_evaluations
+    return {"root": root, "reference": reference, "counters": counters}
 
 
 def _run_workload(session, graph):
@@ -74,6 +89,11 @@ def _run_workload(session, graph):
     matrix = session.pairwise_matrix(mode="exact")
     plans = [KnnPlan(session.probe(graph, node), 4) for node in graph.nodes()[:6]]
     return [matrix.values, session.execute_batch(plans)]
+
+
+def _exact_knn_plans(session, graph):
+    """Exact-mode kNN plans: every pair goes through the exact tier."""
+    return [KnnPlan(session.probe(graph, node), 4, mode="exact") for node in graph.nodes()[:6]]
 
 
 def _fresh_artifacts(arena, tmp_path):
@@ -100,6 +120,9 @@ class TestTransientFaultsHeal:
             results = _run_workload(session, graph)
         snapshot = session.metrics_snapshot()
         assert results == arena["reference"], f"seed={seed} site={site}"
+        # The retry re-paid nothing: neither an exact evaluation nor a
+        # cache lookup more than the fault-free run.
+        assert snapshot["resolution"] == arena["counters"]["warm"], f"seed={seed} site={site}"
         resilience = snapshot["resilience"]
         assert resilience["faults_injected"] == plan.injected_total()
         if plan.injected.get(site):
@@ -191,6 +214,8 @@ class TestExactTierDegradation:
             with NedSession(store, faults=plan, batch=True) as session:
                 matrix = session.pairwise_matrix(mode="exact", chunk_size=8)
         assert matrix.values == arena["reference"][0]
+        # The failed blocks are evaluated once, per pair.
+        assert matrix.stats.exact_evaluations == arena["counters"]["matrix"]
         assert any(issubclass(w.category, ResilienceWarning) for w in caught)
         snapshot = session.metrics_snapshot()
         resilience = snapshot["resilience"]
@@ -209,15 +234,12 @@ class TestExactTierDegradation:
             with NedSession(store, faults=plan, batch=False) as session:
                 # Exact-mode scans route every pair through the per-pair
                 # exact tier — the site this fault targets.
-                plans = [
-                    KnnPlan(session.probe(graph, node), 4, mode="exact")
-                    for node in graph.nodes()[:6]
-                ]
-                knn = session.execute_batch(plans)
+                knn = session.execute_batch(_exact_knn_plans(session, graph))
         # Both matchers solve the assignment optimally, so the TED* values
         # (hence every derived result) agree on this workload.
         assert knn == arena["reference"][1]
         snapshot = session.metrics_snapshot()
+        assert snapshot["resolution"]["exact_evaluations"] == arena["counters"]["exact_knn"]
         assert snapshot["resilience"]["degrades_by_rung"].get("exact-pair", 0) == 1
         assert any(issubclass(w.category, ResilienceWarning) for w in caught)
 
@@ -240,6 +262,8 @@ class TestExecutorChaos:
             ) as session:
                 matrix = session.pairwise_matrix(mode="exact", chunk_size=16)
         assert matrix.values == arena["reference"][0]
+        # The restarted pool recomputes only the blocks that never returned.
+        assert matrix.stats.exact_evaluations == arena["counters"]["matrix"]
         snapshot = session.metrics_snapshot()
         assert snapshot["resilience"]["pool_restarts"] == 1
         assert snapshot["resilience"]["serial_fallbacks"] == 0

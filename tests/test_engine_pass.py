@@ -47,14 +47,14 @@ NEIGHBORS = 5
 #: Plans per deduplicating batch: a 16-probe pool cycled twice.
 BATCH_PLANS = 32
 
-#: Histograms the pass must fill with usable quantiles: per-tier resolver
-#: latencies, sidecar and shard-load timings, executor chunks, search and
+#: Histograms the pass must fill with usable quantiles: the bound survey
+#: (no engine surface calls the per-pair ``bounds()``), cache lookups and
+#: kernel blocks, sidecar and shard-load timings, executor chunks, search and
 #: batch execution, and the serving batch/tick distributions.  The per-pair
 #: rung's ``resolver.exact_seconds`` is not among them: with a kernel every
 #: exact unit is a block, so it is checked on a ``batch=False`` session.
 REQUIRED_HISTOGRAMS = (
-    "resolver.level_size_seconds",
-    "resolver.degree_seconds",
+    "resolver.survey_seconds",
     "resolver.cache_lookup_seconds",
     "resolver.exact_batch_seconds",
     "sidecar.load_seconds",

@@ -336,12 +336,6 @@ class TestSessionObservability:
         assert shards["resident"] == 1
         histograms = snapshot["histograms"]
         assert histograms["shards.load_seconds"]["count"] == shards["loads"]
-        # With the batch kernel, bound-pruned kNN takes its intervals from
-        # one store survey; without it, from the per-pair bound tiers.
-        bound_tier = (
-            "resolver.survey_seconds" if batch_available()
-            else "resolver.level_size_seconds"
-        )
         # Exact pairs run as kernel blocks with the kernel, else on the
         # per-pair rung; each route records its own histogram.
         exact_tier = (
@@ -349,17 +343,16 @@ class TestSessionObservability:
             else "resolver.exact_seconds"
         )
         for name in (
-            bound_tier,
+            "resolver.survey_seconds",
             exact_tier,
             "session.execute_batch_seconds",
             "search.query_seconds",
         ):
             assert histograms[name]["count"] > 0, name
             assert histograms[name]["p99"] is not None, name
-        if batch_available():
-            # One store survey per distinct bound-pruned kNN plan.
-            distinct = len(plans) - snapshot["batching"]["deduplicated_plans"]
-            assert histograms["resolver.survey_seconds"]["count"] == distinct
+        # One store survey per distinct bound-pruned kNN plan.
+        distinct = len(plans) - snapshot["batching"]["deduplicated_plans"]
+        assert histograms["resolver.survey_seconds"]["count"] == distinct
         assert snapshot["resolution"]["exact_evaluations"] > 0
         assert snapshot["batching"]["batches_executed"] == 1
 

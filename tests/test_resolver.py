@@ -1,5 +1,6 @@
 """Tests for the tiered distance-resolution cascade (repro.ted.resolver)."""
 
+import importlib.util
 import math
 import tempfile
 
@@ -244,7 +245,14 @@ tier_subsets = st.sets(st.sampled_from(BOUND_TIERS)).map(
 )
 
 
-@pytest.mark.skipif(not batch_available(), reason="the survey needs numpy")
+needs_kernel = pytest.mark.skipif(
+    not batch_available(), reason="the exact-mode survey shortcut needs the batch kernel"
+)
+
+
+@pytest.mark.skipif(
+    importlib.util.find_spec("numpy") is None, reason="the survey needs numpy"
+)
 class TestSurvey:
     @settings(max_examples=40, deadline=None)
     @given(
@@ -293,6 +301,7 @@ class TestSurvey:
         survey = BoundedNedDistance(k=4).survey(deep_store.entries()[3], deep_store)
         assert not survey.closed.all()
 
+    @needs_kernel
     def test_exact_scan_answers_from_the_survey_up_to_k3(self, store):
         probe = store.entries()[5]
         with NedSession(store, mode="exact") as fast, \
@@ -306,6 +315,7 @@ class TestSurvey:
         with pytest.raises(DistanceError):
             BoundedNedDistance(k=3).survey(store.entries()[0], deep_store)
 
+    @needs_kernel
     @settings(max_examples=15, deadline=None)
     @given(
         nodes=st.integers(min_value=2, max_value=12),

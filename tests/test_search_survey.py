@@ -1,12 +1,13 @@
-"""The survey route of bound-pruned search against the per-pair route.
+"""Bound-pruned search on the store survey, against the exact-mode scan.
 
-With a batch kernel attached, :class:`repro.engine.search.NedSearchEngine`
-takes every bound-prune interval of a kNN, top-L or range query from one
-store-wide :meth:`BoundedNedDistance.survey`.  A ``batch=False`` session over
-the same store runs the per-pair reference route (one ``bounds()`` call per
-kNN/top-L candidate, one threshold ``resolve_many`` per range query).  Both
-must return the same bits and add the same resolver counters; the histogram
-counts show which route ran.  Either way every exact TED* goes through
+:class:`repro.engine.search.NedSearchEngine` takes every bound-prune interval
+of a kNN, top-L or range query from one store-wide
+:meth:`BoundedNedDistance.survey`, whatever the exact tier.  Its answers must
+be, bit for bit, those of the exact-mode linear scan on per-pair TED*.  A
+kernel session and a ``batch=False`` session (the per-pair exact tier)
+differ only in how the open survivors are evaluated, so they must return the
+same bits and add the same resolver counters; the histogram counts show
+which exact route ran.  Either way every exact TED* goes through
 ``resolve_many`` → ``exact_many``: on a kernel session each open kNN/top-L
 survivor is a one-pair kernel block and no per-pair ``ted_star`` runs.
 """
@@ -20,8 +21,10 @@ from repro.graph.generators import barabasi_albert_graph, erdos_renyi_graph, gri
 from repro.ted.batch import batch_available
 from repro.ted.resolver import LEVEL_SIZE_TIER, SIGNATURE_TIER
 
-pytestmark = pytest.mark.skipif(
-    not batch_available(), reason="the bound survey needs numpy and SciPy"
+pytest.importorskip("numpy", reason="the bound survey needs numpy")
+
+needs_kernel = pytest.mark.skipif(
+    not batch_available(), reason="the batch kernel needs SciPy"
 )
 
 #: Store graphs: a tree-shaped graph and a regular grid, both with many
@@ -34,6 +37,7 @@ GRAPHS = {
 }
 
 _stores = {}
+_scans = {}
 
 
 def _store(name: str, k: int) -> TreeStore:
@@ -68,6 +72,28 @@ def _run(session, kind, probe, argument):
     return _bits(answer), session.resolver.counters.since(before)
 
 
+def _exact_scans(graph: str, k: int):
+    """Each probe's radius and exact-mode linear-scan answer to every query.
+
+    The oracle never surveys: a ``batch=False`` exact-mode session pays a
+    per-pair TED* for every candidate.
+    """
+    if (graph, k) not in _scans:
+        dense = _store(graph, k)
+        scans = []
+        with NedSession(dense, mode="exact", batch=False) as oracle:
+            for probe in _probes(dense):
+                distances = sorted(d for _, d in oracle.knn(probe, len(dense)))
+                radius = distances[len(distances) // 2]
+                answers = {
+                    (kind, argument): _run(oracle, kind, probe, argument)[0]
+                    for kind, argument in _queries(dense, probe, radius)
+                }
+                scans.append((probe, radius, answers))
+        _scans[graph, k] = scans
+    return _scans[graph, k]
+
+
 # Without the degree tier, closed and open intervals mix at every k.
 @pytest.mark.parametrize("tiers", [None, (SIGNATURE_TIER, LEVEL_SIZE_TIER)])
 @pytest.mark.parametrize("graph", sorted(GRAPHS))
@@ -77,27 +103,27 @@ def _run(session, kind, probe, argument):
 def test_survey_route_matches_the_per_pair_route(
     graph, cache_size, sharded, k, tiers, tmp_path
 ):
+    # Both sessions survey; only the exact tier differs (the batch kernel
+    # where SciPy is installed, per-pair TED* under batch=False).
     dense = _store(graph, k)
     stores = [dense, dense]
     if sharded:
         save_sharded(dense, tmp_path, shards=3)
         stores = [ShardedTreeStore.load(tmp_path, max_resident=1) for _ in range(2)]
-    with NedSession(dense, batch=False) as oracle:
-        probes = []
-        for probe in _probes(dense):
-            distances = sorted(d for _, d in oracle.knn(probe, len(dense)))
-            probes.append((probe, distances[len(distances) // 2]))
     with NedSession(stores[0], cache_size=cache_size, tiers=tiers) as fast, \
             NedSession(stores[1], cache_size=cache_size, tiers=tiers, batch=False) as slow:
-        assert fast.resolver.batch_active and not slow.resolver.batch_active
-        for probe, radius in probes:
+        assert fast.resolver.batch_active == batch_available()
+        assert not slow.resolver.batch_active
+        for probe, radius, scanned in _exact_scans(graph, k):
             for kind, argument in _queries(dense, probe, radius):
                 surveyed = _run(fast, kind, probe, argument)
                 reference = _run(slow, kind, probe, argument)
+                assert surveyed[0] == scanned[kind, argument], (kind, argument)
                 assert surveyed == reference, (kind, argument)
         assert fast.stats.as_dict() == slow.stats.as_dict()
 
 
+@needs_kernel
 @pytest.mark.parametrize("graph", sorted(GRAPHS))
 @pytest.mark.parametrize("k", [3, 4, 5])
 def test_exact_mode_kernel_route_matches_the_per_pair_route(graph, k, ted_star_calls):
@@ -135,6 +161,7 @@ def _histogram_counts(session):
     }
 
 
+@needs_kernel
 @pytest.mark.parametrize("k", [3, 4, 5])
 def test_each_bound_prune_query_takes_one_survey_and_no_per_pair_bounds(k, ted_star_calls):
     store = _store("tree", k)
@@ -163,10 +190,16 @@ def test_each_bound_prune_query_takes_one_survey_and_no_per_pair_bounds(k, ted_s
                     assert blocks == min(open_pairs, 1), (kind, argument)
                 else:
                     assert blocks == open_pairs, (kind, argument)
+                # batch=False changes the exact tier only: it surveys too.
+                before = _histogram_counts(reference)
                 assert _run(reference, kind, probe, argument) == (answer, counters)
+                after = _histogram_counts(reference)
+                assert after["resolver.survey_seconds"] - before["resolver.survey_seconds"] == 1
+                assert after["resolver.degree_seconds"] == before["resolver.degree_seconds"]
         assert (session.stats.exact_evaluations > 0) == (k > 3)
 
 
+@needs_kernel
 def test_range_open_candidates_take_one_kernel_block_at_k4():
     store = _store("tree", 4)
     probe = _probes(store)[1]

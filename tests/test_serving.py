@@ -820,6 +820,21 @@ class TestPersistentConnections:
         with pytest.raises(WireFormatError, match="unreachable"):
             client.status()
 
+    def test_idle_server_closes_without_waiting_out_a_poll(self, demo_store):
+        # The HTTP loop checks for shutdown every SHUTDOWN_POLL_S, not every
+        # 0.5 s (the stdlib default), so an idle server closes promptly.
+        from repro.serving.client import NedServiceClient
+        from repro.serving.server import NedServiceServer
+        from repro.utils.timer import clock
+
+        server = NedServiceServer(NedSession(demo_store), workers=0).start()
+        client = NedServiceClient(port=server.port)
+        client.status()  # the HTTP loop is polling by now
+        client.close()
+        started = clock()
+        server.close()
+        assert clock() - started < 0.25
+
 
 # ---------------------------------------------------------------------------
 # `python -m repro.serving` as a real subprocess

@@ -470,32 +470,17 @@ class TestResolveMany:
         ]
 
     def test_equivalent_to_sequential_resolve(self, store):
+        # resolve_many is the exact path for a block: the cache, then exact
+        # TED*.  It matches a loop of one-pair exact() calls value for value
+        # and counter for counter, within-block dedup included.
         pairs = self._pairs(store)
         blocked = self._resolver(store)
         sequential = self._resolver(store)
         block = blocked.resolve_many(pairs)
-        loop = [sequential.resolve(first, second) for first, second in pairs]
-        assert block == loop
-        assert blocked.counters == sequential.counters
-        assert blocked.cache_len() == sequential.cache_len()
-
-    def test_equivalent_under_threshold(self, store):
-        pairs = self._pairs(store)
-        blocked = self._resolver(store)
-        sequential = self._resolver(store)
-        block = blocked.resolve_many(pairs, threshold=3.0)
-        loop = [sequential.resolve(a, b, threshold=3.0) for a, b in pairs]
-        assert block == loop
-        assert blocked.counters == sequential.counters
-
-    def test_bounds_false_equivalent_to_exact_loop(self, store):
-        pairs = self._pairs(store, count=30)
-        blocked = self._resolver(store)
-        sequential = self._resolver(store)
-        block = blocked.resolve_many(pairs, bounds=False)
-        loop = [sequential.exact(a, b) for a, b in pairs]
+        loop = [sequential.exact(first, second) for first, second in pairs]
         assert [value for value, _ in block] == loop
         assert blocked.counters == sequential.counters
+        assert blocked.cache_len() == sequential.cache_len()
         for value, interval in block:
             assert interval.tier in (EXACT_TIER, CACHE_TIER)
             assert interval.lower == interval.upper == value
@@ -506,7 +491,7 @@ class TestResolveMany:
         # very same pair repeated three times must pay exactly one evaluation.
         pair = (entries[0], entries[1])
         resolver = self._resolver(store)
-        results = resolver.resolve_many([pair, pair, pair], bounds=False)
+        results = resolver.resolve_many([pair, pair, pair])
         values = {value for value, _ in results}
         assert len(values) == 1
         assert resolver.counters.exact_evaluations == 1
