@@ -96,9 +96,10 @@ Performance knobs (all on the session)
   A broken pool restarts while the retry budget lasts; past that, or if it
   cannot start, the remaining blocks run locally (only blocks not yet
   returned are recomputed) and ``executor_used`` records the downgrade.
-* ``cache_file`` — the durable sidecar.  Since format v2 it persists
+* ``cache_file`` — the durable sidecar of the resolver's
+  :class:`repro.ted.cache.DistanceCache`.  Since format v2 it persists
   per-entry *hit counts*, so an overflowing load keeps the hottest entries
-  (not the newest), and :func:`repro.ted.resolver.merge_sidecars` (CLI:
+  (not the newest), and :func:`repro.ted.cache.merge_sidecars` (CLI:
   ``ned-experiments merge-cache``) compacts the sidecars of parallel sweep
   workers into one warm file, summing hit counts.
 
@@ -133,12 +134,12 @@ from repro.engine.session import (
 from repro.engine.shards import ShardedTreeStore, save_sharded, sharded_store_exists
 from repro.engine.stats import EngineStats, QueryStats
 from repro.engine.tree_store import StoredTree, TreeStore, summarize_tree
+from repro.ted.cache import merge_sidecars
 from repro.ted.resolver import (
     BOUND_TIERS,
     TIER_CASCADE,
     BoundedNedDistance,
     ResolutionInterval,
-    merge_sidecars,
 )
 
 __all__ = [

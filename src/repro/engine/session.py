@@ -383,14 +383,14 @@ class NedSession:
         #: let the session open anyway (empty cache).
         self._sidecar_cold_start = False
         if self.cache_file is not None and self.cache_file.exists():
-            # Adopt (not merge): the cache is empty at construction, and
-            # load_cache preserves the sidecar's per-entry hit counts — so
-            # hotness accumulates across session lifecycles (open → queries
-            # → save-on-close) instead of resetting every process, and an
-            # overflowing sidecar is trimmed to the hottest entries.
+            # Load keeps the per-entry hit counts, so hotness accumulates
+            # across session lifecycles (open → queries → save-on-close).
+            cache = self._resolver.cache
             with self.tracer.span("session.warm", cache_file=str(self.cache_file)):
                 with self.metrics.time("sidecar.load_seconds"):
-                    loaded = self._warm_from_sidecar()
+                    loaded = self._sidecar(
+                        "sidecar.load", lambda: cache.load(self.cache_file)
+                    )
             self.metrics.inc("sidecar.loaded_entries", loaded)
         self._engines: Dict[Tuple, Any] = {}
         self._closed = False
@@ -447,23 +447,19 @@ class NedSession:
     def _sidecar_policy(self) -> str:
         return self.resilience.sidecar if self.resilience is not None else "strict"
 
-    def _warm_from_sidecar(self) -> int:
-        """Adopt the sidecar at open, honoring the retry + sidecar policy.
+    def _sidecar(self, site: str, action) -> int:
+        """Run a sidecar load or save under the retry + sidecar policy.
 
-        Transient read failures are retried under the policy.  A sidecar
-        that stays unreadable (truncated, foreign, wrong ``k``/backend)
-        raises under ``sidecar="strict"`` — today's behavior — but under
-        ``sidecar="cold_start"`` the session warns, counts a
-        ``resilience.sidecar_cold_starts``, and starts with an empty cache:
-        a broken cache file costs recomputation, never availability.
+        Transient failures are retried.  A sidecar that stays unreadable
+        (truncated, foreign, wrong ``k``/backend) or unwritable raises under
+        ``sidecar="strict"``; under ``"cold_start"`` the session warns,
+        counts it and returns 0 — a broken cache file costs recomputation,
+        never availability (a failed load opens the session cold).
         """
-        load = lambda: self._resolver.load_cache(self.cache_file)  # noqa: E731
         try:
             if self._retry is not None:
-                return self._retry.call(
-                    load, site="sidecar.load", metrics=self.metrics
-                )
-            return load()
+                return self._retry.call(action, site=site, metrics=self.metrics)
+            return action()
         except (DeadlineError, OverloadError):
             # Service-protection errors are never downgraded to a cold
             # start: they mean "stop", not "the sidecar is broken".
@@ -471,40 +467,16 @@ class NedSession:
         except ReproError as error:
             if self._sidecar_policy != "cold_start":
                 raise
-            self.metrics.inc("resilience.sidecar_cold_starts")
-            self._sidecar_cold_start = True
+            if site == "sidecar.load":
+                self._sidecar_cold_start = True
+                self.metrics.inc("resilience.sidecar_cold_starts")
+                verb, outcome = "loaded", "starting cold; it is rewritten on close"
+            else:
+                self.metrics.inc("resilience.sidecar_save_failures")
+                verb, outcome = "saved", "the previous sidecar stays intact"
             warnings.warn(
-                f"distance-cache sidecar {self.cache_file} could not be "
-                f"loaded ({type(error).__name__}: {error}); starting cold — "
-                f"cached distances will be recomputed and the sidecar "
-                f"rewritten on close",
-                ResilienceWarning,
-                stacklevel=4,
-            )
-            return 0
-
-    def _save_sidecar(self) -> int:
-        """Save the sidecar at close, honoring the retry + sidecar policy."""
-        save = lambda: self._resolver.save_cache(self.cache_file)  # noqa: E731
-        try:
-            if self._retry is not None:
-                return self._retry.call(
-                    save, site="sidecar.save", metrics=self.metrics
-                )
-            return save()
-        except (DeadlineError, OverloadError):
-            # Service-protection errors are never downgraded to a warn +
-            # cold start; the caller owns deadline/overload handling.
-            raise
-        except ReproError as error:
-            if self._sidecar_policy != "cold_start":
-                raise
-            self.metrics.inc("resilience.sidecar_save_failures")
-            warnings.warn(
-                f"distance-cache sidecar {self.cache_file} could not be "
-                f"saved ({type(error).__name__}: {error}); the next process "
-                f"starts cold from the previous sidecar (atomic writes never "
-                f"leave a truncated file)",
+                f"distance-cache sidecar {self.cache_file} could not be {verb} "
+                f"({type(error).__name__}: {error}); {outcome}",
                 ResilienceWarning,
                 stacklevel=4,
             )
@@ -551,8 +523,11 @@ class NedSession:
             return
         with self.tracer.span("session.close"):
             if self.cache_file is not None:
+                cache = self._resolver.cache
                 with self.metrics.time("sidecar.save_seconds"):
-                    saved = self._save_sidecar()
+                    saved = self._sidecar(
+                        "sidecar.save", lambda: cache.save(self.cache_file)
+                    )
                 self.metrics.inc("sidecar.saved_entries", saved)
         self._closed = True
 
@@ -571,7 +546,7 @@ class NedSession:
         ``path`` defaults to the session's ``cache_file`` (which
         :meth:`close` also writes); an explicit path lets parallel sweep
         workers write per-worker sidecars for a later
-        :func:`repro.ted.resolver.merge_sidecars`.
+        :func:`repro.ted.cache.merge_sidecars`.
         """
         target = Path(path) if path is not None else self.cache_file
         if target is None:
@@ -579,7 +554,7 @@ class NedSession:
                 "no cache path: pass save_cache(path) or open the session "
                 "with cache_file="
             )
-        self._resolver.save_cache(target)
+        self._resolver.cache.save(target)
         return target
 
     # ---------------------------------------------------------- observability
@@ -592,7 +567,8 @@ class NedSession:
 
         * ``"resolution"`` — the per-tier :class:`EngineStats` counters,
         * ``"batching"`` — batch ticks / plans / dedup fan-out savings,
-        * ``"cache"`` — exact-distance cache occupancy and capacity,
+        * ``"cache"`` — exact-distance cache occupancy, capacity and LRU
+          evictions,
         * ``"batch_kernel"`` — array-native kernel work split (blocks,
           batched vs fallback pairs, compiled trees, memo hits and
           evictions, assignment-solver calls; only when attached),
@@ -608,9 +584,11 @@ class NedSession:
             "batched_plans": self.batched_plans,
             "deduplicated_plans": self.deduplicated_plans,
         }
+        cache = self._resolver.cache
         snapshot["cache"] = {
-            "entries": self._resolver.cache_len(),
-            "capacity": self.cache_size,
+            "entries": len(cache),
+            "capacity": cache.capacity,
+            "evictions": cache.evictions,
         }
         kernel = self._resolver.batch_kernel
         if kernel is not None:

@@ -118,7 +118,7 @@ def build_merge_cache_parser() -> argparse.ArgumentParser:
 def merge_cache_main(argv: List[str]) -> int:
     """Entry point of ``ned-experiments merge-cache``."""
     from repro.exceptions import DistanceError
-    from repro.ted.resolver import merge_sidecars
+    from repro.ted.cache import merge_sidecars
 
     args = build_merge_cache_parser().parse_args(argv)
     try:

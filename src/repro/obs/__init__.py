@@ -17,7 +17,7 @@ was distributed*:
   into it.  Snapshots are plain dicts; :meth:`MetricsRegistry.merge` /
   :func:`merge_snapshots` fold worker exports into parent totals — the same
   workers-export/parent-folds shape as
-  :func:`repro.ted.resolver.merge_sidecars`.
+  :func:`repro.ted.cache.merge_sidecars`.
 * :mod:`repro.obs.render` — text renderers for span summaries and metrics
   snapshots (``ned-experiments --trace`` prints them).
 

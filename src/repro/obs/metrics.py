@@ -14,12 +14,13 @@ kinds, all snapshotting to plain dicts:
   relative error and O(1) ``observe``.
 
 Cross-process folding mirrors the distance-cache sidecar discipline
-(``merge_sidecars``): a worker *exports* ``registry.snapshot()`` — a plain,
-picklable dict — and the parent *folds* it with :meth:`MetricsRegistry.merge`
-(or many at once with :func:`merge_snapshots`).  Merging is associative and
-commutative (counters and histogram buckets add, gauges keep the maximum,
-quantiles are recomputed from the merged buckets), so fold order never
-changes the result — the property the obs test suite asserts.
+(:func:`repro.ted.cache.merge_sidecars`): a worker *exports*
+``registry.snapshot()`` — a plain, picklable dict — and the parent *folds*
+it with :meth:`MetricsRegistry.merge` (or many at once with
+:func:`merge_snapshots`).  Merging is associative and commutative (counters
+and histogram buckets add, gauges keep the maximum, quantiles are recomputed
+from the merged buckets), so fold order never changes the result — the
+property the obs test suite asserts.
 
 Timing goes through :meth:`MetricsRegistry.time`, which returns a
 :class:`repro.utils.timer.Timer` wired to ``observe`` — one
@@ -306,7 +307,7 @@ class MetricsRegistry:
 def merge_snapshots(snapshots: Iterable[Snapshot]) -> Snapshot:
     """Fold many exported snapshots into one (the reduce step of a sweep).
 
-    The metrics analogue of :func:`repro.ted.resolver.merge_sidecars`:
+    The metrics analogue of :func:`repro.ted.cache.merge_sidecars`:
     each worker exports ``registry.snapshot()``, the parent folds them all
     and reads one set of totals and quantiles.  Associative and
     commutative, like :meth:`MetricsRegistry.merge`.

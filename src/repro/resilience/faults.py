@@ -9,9 +9,8 @@ site                      where it fires
 ``"shards.decode"``       :meth:`ShardedTreeStore._decode_shard` (slow disks,
                           torn shard files)
 ``"sidecar.load"``        reading a distance-cache sidecar
-                          (:meth:`BoundedNedDistance.load_cache` /
-                          ``warm_from``)
-``"sidecar.save"``        writing a sidecar (:meth:`save_cache`)
+                          (:meth:`DistanceCache.load`)
+``"sidecar.save"``        writing a sidecar (:meth:`DistanceCache.save`)
 ``"executor.dispatch"``   an exact block sent to the shared-memory worker
                           pool (:class:`~repro.serving.workers.SharedWorkerPool`;
                           worker death)

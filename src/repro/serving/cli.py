@@ -126,6 +126,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (ReproError, FileNotFoundError) as error:
         print(f"ned-serve: cannot open store: {error}", file=sys.stderr)
         return 2
+    try:
+        session = NedSession(store, cache_file=args.cache_file)
+    except ReproError as error:
+        print(f"ned-serve: cannot open cache sidecar: {error}", file=sys.stderr)
+        return 2
 
     stop = threading.Event()
 
@@ -138,7 +143,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         signal.signal(signal.SIGINT, _on_signal)
         signal.signal(signal.SIGTERM, _on_signal)
 
-    session = NedSession(store, cache_file=args.cache_file)
     try:
         server = NedServiceServer(
             session,

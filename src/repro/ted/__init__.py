@@ -17,6 +17,9 @@
   survey (:meth:`~repro.ted.resolver.BoundedNedDistance.survey`) and
   resolves the open pairs as exact blocks (:meth:`~repro.ted.resolver.
   BoundedNedDistance.resolve_many`).
+* :mod:`repro.ted.cache` — :class:`~repro.ted.cache.DistanceCache`, the
+  resolver's signature-keyed LRU of exact distances, its versioned sidecar
+  and :func:`~repro.ted.cache.merge_sidecars`.
 * :mod:`repro.ted.batch` — the array-native batch TED* kernel: stores are
   pre-compiled once into contiguous numpy arrays (per-level slices of the
   canonical parent arrays) and many pairs are evaluated per call with

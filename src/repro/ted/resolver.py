@@ -17,11 +17,10 @@ a ``(lower, upper)`` interval on TED*:
    ``k <= 3`` it *is* TED* (proof in :mod:`repro.ted.bounds`), so this tier
    closes the interval and decides every pair that reaches it: the cache
    and exact tiers below are only reached from ``k = 4`` on.
-4. ``"cache"`` — an LRU memory of previously computed exact distances,
-   keyed by the ordered pair of canonical signatures.  TED* is a pure
-   function of the two isomorphism classes (the kernel canonicalizes its
-   inputs), so a hit closes the interval *exactly* without paying for a
-   computation.  Sized per resolver (``cache_size``; 0 disables).
+4. ``"cache"`` — the resolver's :class:`repro.ted.cache.DistanceCache`, an
+   LRU of previously computed exact distances keyed by the ordered pair of
+   canonical signatures; a hit closes the interval *exactly* without paying
+   for a computation.  Sized per resolver (``cache_size``; 0 disables).
 5. ``"exact"`` — the O(k·n³) TED* computation, paid only when the interval
    left by the cheap tiers still straddles the caller's decision boundary
    and the cache has never seen the signature pair; the result is routed
@@ -51,23 +50,19 @@ evaluations were skipped.
 
 In the engine, resolvers are owned by :class:`repro.engine.session.NedSession`
 — one warm resolver behind every query surface; construct one directly only
-when working below the session layer.  The exact-distance cache persists as
-a versioned *sidecar* (:meth:`BoundedNedDistance.save_cache` /
-:meth:`~BoundedNedDistance.load_cache` / :meth:`~BoundedNedDistance.warm_from`),
-since format v2 with per-entry hit counts so overflowing loads keep the
-hottest entries; :func:`merge_sidecars` compacts the sidecars of parallel
-sweep workers into one warm file.
+when working below the session layer.  The exact-distance cache and its
+versioned sidecar live in :mod:`repro.ted.cache` (``resolver.cache.save`` /
+``resolver.cache.load``; :func:`repro.ted.cache.merge_sidecars` compacts the
+sidecars of parallel sweep workers into one warm file).
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from collections import OrderedDict
 from dataclasses import dataclass, fields
 from functools import lru_cache
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.exceptions import DeadlineError, DistanceError, OverloadError
 from repro.ted.bounds import (
@@ -75,8 +70,8 @@ from repro.ted.bounds import (
     ted_star_degree_multiset_bounds,
     ted_star_level_size_bounds,
 )
+from repro.ted.cache import DistanceCache
 from repro.ted.ted_star import ted_star
-from repro.utils.io import atomic_pickle_dump, load_validated_payload
 from repro.utils.timer import clock
 
 SIGNATURE_TIER = "signature"
@@ -106,19 +101,6 @@ TIER_CASCADE = BOUND_TIERS + (EXACT_TIER,)
 
 #: Cache capacity the engine components use unless told otherwise.
 DEFAULT_CACHE_SIZE = 32768
-
-# On-disk format of the exact-distance cache sidecar (mirrors the TreeStore
-# header discipline: a format marker plus an integer version, validated
-# before any entry is decoded).  Version 2 added per-entry hit counts, so an
-# overflowing load keeps the *hottest* entries instead of the newest;
-# version-1 sidecars still load (their entries carry zero hits, which makes
-# the hotness tie-break fall back to recency — the v1 behaviour).
-_CACHE_FORMAT = "repro-ned-cache"
-_CACHE_VERSION = 2
-_CACHE_SUPPORTED_VERSIONS = (1, 2)
-
-#: One sidecar entry: (signature_a, signature_b, distance, hit_count).
-CacheEntry = Tuple[str, str, float, int]
 
 
 @dataclass
@@ -283,18 +265,13 @@ class BoundedNedDistance:
             raise DistanceError(
                 f"unknown bound tiers {unknown}; expected a subset of {BOUND_TIERS}"
             )
-        if cache_size < 0:
-            raise DistanceError(f"cache_size must be >= 0, got {cache_size}")
         self.k = k
         self.backend = backend
         self.tiers: Tuple[str, ...] = tuple(t for t in BOUND_TIERS if t in requested)
         self.counters = counters if counters is not None else ResolutionCounters()
-        self.cache_size = cache_size
+        #: The signature-keyed exact-distance cache tier (and its sidecar).
+        self.cache = DistanceCache(cache_size, k, self.matching_backend)
         self.metrics = metrics
-        self._cache: "OrderedDict[Tuple[str, str], float]" = OrderedDict()
-        # Lifetime lookup hits per resident entry; persisted in the sidecar
-        # (format v2) so a later overflowing load keeps the hottest entries.
-        self._cache_uses: Dict[Tuple[str, str], int] = {}
         self._batch_kernel = None
         # Optional block dispatcher (attach_block_dispatcher): offered every
         # exact block before the local kernels; None means local-only.
@@ -325,8 +302,8 @@ class BoundedNedDistance:
 
         ``"batch"`` is an exact-*tier* strategy, not a matching strategy: its
         values are bit-identical to scipy's, so consumers that forward a
-        backend string to per-pair code (process-pool workers, sidecar
-        warmup, the fallback path) must use this instead of ``backend``.
+        backend string to per-pair code (process-pool workers, the sidecar
+        header, the fallback path) must use this instead of ``backend``.
         """
         return "scipy" if self.backend == BATCH_BACKEND else self.backend
 
@@ -419,6 +396,7 @@ class BoundedNedDistance:
         from repro.resilience.policies import CircuitBreaker
 
         self.faults = faults
+        self.cache.faults = faults
         if breaker_threshold is None:
             self._batch_breaker = None
             self._pair_breaker = None
@@ -607,8 +585,9 @@ class BoundedNedDistance:
         pending_keys: List[Optional[Tuple[str, str]]] = []
         owners: Dict[Tuple[str, str], int] = {}
         followers: Dict[int, List[int]] = {}
+        cache = self.cache
         for index, (first, second) in enumerate(pairs):
-            key = self.cache_key(first, second)
+            key = cache.key(first, second)
             if key is not None:
                 owner = owners.get(key)
                 if owner is not None:
@@ -617,10 +596,11 @@ class BoundedNedDistance:
                     self.counters.cache_hits += 1
                     followers.setdefault(owner, []).append(index)
                     continue
-                cached = self._timed(
-                    "resolver.cache_lookup_seconds", self.cache_get, key
-                )
-                if cached is not None:
+                cached = self._timed("resolver.cache_lookup_seconds", cache.get, key)
+                if cached is None:
+                    self.counters.cache_misses += 1
+                else:
+                    self.counters.cache_hits += 1
                     results[index] = cached
                     intervals[index] = ResolutionInterval(cached, cached, CACHE_TIER)
                     continue
@@ -634,7 +614,7 @@ class BoundedNedDistance:
             for slot, value in enumerate(values, start=offset):
                 key = pending_keys[slot]
                 if key is not None:
-                    self.cache_put(key, value)
+                    cache.put(key, value)
                 results[pending[slot]] = value
                 intervals[pending[slot]] = ResolutionInterval(value, value, EXACT_TIER)
                 for follower in followers.get(slot, ()):
@@ -752,194 +732,6 @@ class BoundedNedDistance:
         """
         return DEGREE_TIER in self.tiers and self.k <= DEGREE_BOUND_EXACT_MAX_K
 
-    # ------------------------------------------------------------- cache tier
-    def cache_key(self, first, second) -> Optional[Tuple[str, str]]:
-        """Return the cache key for a pair, or ``None`` when caching is off.
-
-        The key is the *ordered* pair of canonical signatures (TED* is
-        symmetric), so (a, b) and (b, a) share one entry.  Keying by
-        signature is sound because the kernel canonicalizes its inputs: the
-        distance is a pure function of the two isomorphism classes.
-        """
-        if not self.cache_size:
-            return None
-        a, b = first.signature, second.signature
-        return (a, b) if a <= b else (b, a)
-
-    def cache_get(self, key: Tuple[str, str]) -> Optional[float]:
-        """Look up one exact-path pair in the cache (always counted).
-
-        Every exact-path pair of a cache-enabled resolver performs exactly
-        one lookup, so ``cache_hits + cache_misses`` counts those pairs.
-        """
-        value = self._cache.get(key)
-        if value is None:
-            self.counters.cache_misses += 1
-            return None
-        self._cache.move_to_end(key)
-        self.counters.cache_hits += 1
-        self._cache_uses[key] = self._cache_uses.get(key, 0) + 1
-        return value
-
-    def cache_put(self, key: Tuple[str, str], value: float) -> None:
-        """Store an exact distance, evicting least-recently-used entries."""
-        self._cache[key] = value
-        self._cache.move_to_end(key)
-        self._cache_uses.setdefault(key, 0)
-        while len(self._cache) > self.cache_size:
-            evicted, _ = self._cache.popitem(last=False)
-            self._cache_uses.pop(evicted, None)
-
-    def cache_len(self) -> int:
-        """Return the number of cached distances."""
-        return len(self._cache)
-
-    def cache_clear(self) -> None:
-        """Drop every cached distance (counters are left untouched)."""
-        self._cache.clear()
-        self._cache_uses.clear()
-
-    # ------------------------------------------------------ cache persistence
-    def save_cache(self, path: Union[str, Path]) -> int:
-        """Persist the exact-distance cache as a sidecar file at ``path``.
-
-        The sidecar records the resolver's ``k`` (distances are only
-        comparable at equal ``k``) and :attr:`matching_backend` (tie pairs
-        may admit several optimal matchings, so values are only guaranteed
-        reproducible under the matching semantics that produced them —
-        ``backend="batch"`` realises scipy's, so its sidecars interoperate
-        with ``backend="scipy"`` resolvers) next to the signature-keyed
-        entries, in LRU order (oldest first), each with its lifetime hit
-        count (format v2).  Returns the number of entries written.  A sweep
-        writes the sidecar once at the end of a run; the next process
-        attaches it with :meth:`load_cache` or :meth:`warm_from` and answers
-        the repeated pairs from memory.
-        """
-        if self.faults is not None and self.faults.fire("sidecar.save"):
-            # Corruption at the save site means the *new* bytes are bad, but
-            # atomic_pickle_dump's temp-write + rename discipline still
-            # applies — so we simulate the nearest reachable failure, a torn
-            # write detected before the rename, as a typed error.  The
-            # previous sidecar on disk stays intact either way.
-            raise DistanceError(
-                f"injected corruption while writing distance-cache sidecar {path}"
-            )
-        entries = [
-            (a, b, value, self._cache_uses.get((a, b), 0))
-            for (a, b), value in self._cache.items()
-        ]
-        payload = {
-            "format": _CACHE_FORMAT,
-            "version": _CACHE_VERSION,
-            "k": self.k,
-            "backend": self.matching_backend,
-            "entries": entries,
-        }
-        atomic_pickle_dump(payload, Path(path))
-        return len(entries)
-
-    def _read_sidecar(self, path: Union[str, Path]) -> List[CacheEntry]:
-        """Read, validate and return the entries of a cache sidecar."""
-        if self.faults is not None and self.faults.fire("sidecar.load"):
-            # One-shot corruption: truncate the sidecar on disk and fall
-            # through to the real validation path, which raises the same
-            # typed DistanceError a genuinely torn file would.
-            data = Path(path).read_bytes()
-            Path(path).write_bytes(data[: max(1, len(data) // 2)])
-        k, backend, entries = _read_sidecar_payload(path)
-        if k != self.k:
-            raise DistanceError(
-                f"distance-cache sidecar {path} was written with k={k!r}, "
-                f"but this resolver compares k={self.k} levels; the cached distances "
-                f"are not comparable"
-            )
-        if backend != self.matching_backend:
-            raise DistanceError(
-                f"distance-cache sidecar {path} was written with backend="
-                f"{backend!r}, but this resolver's values realise backend="
-                f"{self.matching_backend!r}; tie pairs may admit several optimal "
-                f"matchings, so cached values are only reproducible under the "
-                f"matching semantics that produced them"
-            )
-        return entries
-
-    def _require_cache_enabled(self, action: str) -> None:
-        if not self.cache_size:
-            raise DistanceError(
-                f"cannot {action}: this resolver's distance cache is disabled "
-                f"(cache_size=0)"
-            )
-
-    def load_cache(self, path: Union[str, Path]) -> int:
-        """Replace the cache with a sidecar's entries; returns how many stay.
-
-        When the sidecar holds more entries than ``cache_size``, the
-        *hottest* entries (largest persisted hit counts, recency breaking
-        ties) are kept — a sweep's most-requeried pairs survive the trim.
-        Version-1 sidecars carry no hit counts, so the tie-break keeps the
-        newest, the pre-v2 behaviour.  Counters are untouched: loading is
-        not a lookup.
-        """
-        self._require_cache_enabled(f"load a distance-cache sidecar from {path}")
-        entries = self._read_sidecar(path)
-        if len(entries) > self.cache_size:
-            ranked = sorted(
-                enumerate(entries), key=lambda pair: (pair[1][3], pair[0])
-            )[-self.cache_size:]
-            # Preserve the sidecar's LRU order among the survivors.
-            entries = [entry for _, entry in sorted(ranked, key=lambda pair: pair[0])]
-        self._cache = OrderedDict(((a, b), value) for a, b, value, _ in entries)
-        self._cache_uses = {(a, b): hits for a, b, _, hits in entries}
-        return len(self._cache)
-
-    def warm_from(self, source: "Union[str, Path, BoundedNedDistance]") -> int:
-        """Merge another cache into this one; returns the entries added.
-
-        ``source`` is a sidecar path (written by :meth:`save_cache`, e.g. by
-        a previous process of a sweep) or a live resolver.  Entries already
-        present keep their value, their recency and their hit counts; merged
-        entries are inserted as the coldest *and with zero hits* — every
-        lookup is counted exactly once, by the resolver that serves it, so
-        N workers warming from one shared base sidecar do not each re-export
-        the base's hit counts (which :func:`merge_sidecars` would then sum N
-        times, letting a stale base entry outrank a genuinely hotter one).
-        Use :meth:`load_cache` to *adopt* a sidecar, hit counts included.
-        """
-        self._require_cache_enabled("warm its distance cache")
-        if isinstance(source, BoundedNedDistance):
-            if source.k != self.k:
-                raise DistanceError(
-                    f"cannot warm from a resolver with k={source.k}; this resolver "
-                    f"compares k={self.k} levels"
-                )
-            if source.matching_backend != self.matching_backend:
-                raise DistanceError(
-                    f"cannot warm from a resolver whose values realise backend="
-                    f"{source.matching_backend!r}; this resolver's realise "
-                    f"backend={self.matching_backend!r}"
-                )
-            incoming = [
-                (a, b, value, source._cache_uses.get((a, b), 0))
-                for (a, b), value in source._cache.items()
-            ]
-        else:
-            incoming = self._read_sidecar(source)
-        merged: "OrderedDict[Tuple[str, str], float]" = OrderedDict()
-        added = 0
-        for a, b, value, _hits in incoming:
-            key = (a, b)
-            if key not in self._cache and key not in merged:
-                merged[key] = value
-                added += 1
-                self._cache_uses.setdefault(key, 0)
-        for key, value in self._cache.items():
-            merged[key] = value
-        while len(merged) > self.cache_size:
-            evicted, _ = merged.popitem(last=False)
-            self._cache_uses.pop(evicted, None)
-        self._cache = merged
-        return added
-
     # ------------------------------------------------------------- exact tier
     def exact(self, first, second) -> float:
         """Resolve a pair on the exact path: a one-pair :meth:`resolve_many`."""
@@ -1004,90 +796,3 @@ class BoundedNedDistance:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"BoundedNedDistance(k={self.k}, tiers={self.tiers})"
-
-
-def _read_sidecar_payload(path: Union[str, Path]) -> Tuple[int, str, List[CacheEntry]]:
-    """Read one sidecar and return ``(k, backend, entries)`` after validation.
-
-    Entries are normalised to the v2 shape ``(sig_a, sig_b, value, hits)``;
-    version-1 records carry no hit counts and load with ``hits=0``.
-    """
-    payload = load_validated_payload(
-        path, _CACHE_FORMAT, _CACHE_SUPPORTED_VERSIONS, "NED distance-cache",
-        DistanceError,
-    )
-    try:
-        if payload["version"] >= 2:
-            entries = [
-                (str(a), str(b), float(value), int(hits))
-                for a, b, value, hits in payload.get("entries")
-            ]
-        else:
-            entries = [
-                (str(a), str(b), float(value), 0)
-                for a, b, value in payload.get("entries")
-            ]
-    except (TypeError, ValueError) as error:
-        raise DistanceError(
-            f"{path} is not a valid NED distance-cache file "
-            f"({type(error).__name__}: {error})"
-        ) from error
-    return payload.get("k"), payload.get("backend"), entries
-
-
-def merge_sidecars(
-    paths: Sequence[Union[str, Path]], output: Union[str, Path]
-) -> int:
-    """Compact many cache sidecars into one; returns the merged entry count.
-
-    This is the reduce step of a parallel sweep: each worker writes its own
-    sidecar (:meth:`BoundedNedDistance.save_cache`), and the merge produces
-    one warm file for the next run.  Every input is header-validated and
-    must agree on ``k`` and ``backend`` (distances are not comparable
-    otherwise).  The first occurrence of a signature pair keeps its value
-    (TED* is pure, so duplicates agree up to backend tie-breaks) and the
-    hit counts of all occurrences are *summed*, preserving hotness across
-    workers for eviction-aware loading.  The output is written atomically
-    and keeps first-seen order (so earlier inputs are the coldest on load).
-
-    Hit counts are eviction *hints*, not a correctness surface — any trim
-    outcome only changes what is recomputed, never a value.  When every
-    worker starts cold (or warms via :meth:`~BoundedNedDistance.warm_from`,
-    which imports entries with zero hits), the sum counts each lookup
-    exactly once.  Workers that *adopt* one shared base sidecar (a session's
-    ``cache_file=``, which loads hit counts) each re-export the base's
-    counts, so the merged base entries carry roughly worker-count times
-    their true hotness — include such a base once and treat its entries as
-    deliberately favoured, or give sweep workers per-worker cache files.
-    """
-    if not paths:
-        raise DistanceError("merge_sidecars needs at least one sidecar path")
-    reference: Optional[Tuple[int, str]] = None
-    merged: "OrderedDict[Tuple[str, str], List[float]]" = OrderedDict()
-    for path in paths:
-        k, backend, entries = _read_sidecar_payload(path)
-        if reference is None:
-            reference = (k, backend)
-        elif reference != (k, backend):
-            raise DistanceError(
-                f"cannot merge distance-cache sidecar {path}: it was written "
-                f"with k={k!r}/backend={backend!r}, but the first sidecar uses "
-                f"k={reference[0]!r}/backend={reference[1]!r}"
-            )
-        for a, b, value, hits in entries:
-            record = merged.get((a, b))
-            if record is None:
-                merged[(a, b)] = [value, hits]
-            else:
-                record[1] += hits
-    payload = {
-        "format": _CACHE_FORMAT,
-        "version": _CACHE_VERSION,
-        "k": reference[0],
-        "backend": reference[1],
-        "entries": [
-            (a, b, value, int(hits)) for (a, b), (value, hits) in merged.items()
-        ],
-    }
-    atomic_pickle_dump(payload, Path(output))
-    return len(merged)

@@ -54,7 +54,7 @@ class TestResolverCache:
         resolver = BoundedNedDistance(k=4, cache_size=16)
         nodes = store.nodes()
         first, second = store.entry(nodes[0]), store.entry(nodes[7])
-        assert resolver.cache_key(first, second) == resolver.cache_key(second, first)
+        assert resolver.cache.key(first, second) == resolver.cache.key(second, first)
         resolver.exact(first, second)
         resolver.exact(second, first)
         assert resolver.counters.exact_evaluations == 1
@@ -64,7 +64,7 @@ class TestResolverCache:
         resolver = BoundedNedDistance(k=4)  # cache_size defaults to 0
         nodes = store.nodes()
         first, second = store.entry(nodes[0]), store.entry(nodes[7])
-        assert resolver.cache_key(first, second) is None
+        assert resolver.cache.key(first, second) is None
         resolver.exact(first, second)
         resolver.exact(first, second)
         assert resolver.counters.exact_evaluations == 2
@@ -86,16 +86,32 @@ class TestResolverCache:
         a, b, c = distinct
         resolver.exact(probe, a)  # cache: {a}
         resolver.exact(probe, b)  # cache: {a, b}
-        assert resolver.cache_len() == 2
+        assert len(resolver.cache) == 2
         resolver.exact(probe, a)  # hit; a becomes most recent: {b, a}
         assert resolver.counters.cache_hits == 1
         resolver.exact(probe, c)  # evicts b (least recently used): {a, c}
-        assert resolver.cache_len() == 2
+        assert len(resolver.cache) == 2
         before = resolver.counters.exact_evaluations
         resolver.exact(probe, a)  # still cached
         assert resolver.counters.exact_evaluations == before
         resolver.exact(probe, b)  # evicted -> recomputed
         assert resolver.counters.exact_evaluations == before + 1
+
+    def test_snapshot_reports_lru_evictions(self, store):
+        entries = [store.entry(node) for node in store.nodes()]
+        probe, distinct, seen = entries[0], [], {entries[0].signature}
+        for entry in entries[1:]:
+            if entry.signature not in seen and len(distinct) < 3:
+                distinct.append(entry)
+                seen.add(entry.signature)
+        with NedSession(store, cache_size=2) as session:
+            for candidate in distinct:
+                session.resolver.exact(probe, candidate)
+            assert session.metrics_snapshot()["cache"] == {
+                "entries": 2,
+                "capacity": 2,
+                "evictions": 1,
+            }
 
     def test_cache_clear_and_negative_size(self, store):
         with pytest.raises(DistanceError):
@@ -103,9 +119,9 @@ class TestResolverCache:
         resolver = BoundedNedDistance(k=4, cache_size=8)
         nodes = store.nodes()
         resolver.exact(store.entry(nodes[0]), store.entry(nodes[5]))
-        assert resolver.cache_len() == 1
-        resolver.cache_clear()
-        assert resolver.cache_len() == 0
+        assert len(resolver.cache) == 1
+        resolver.cache.clear()
+        assert len(resolver.cache) == 0
 
 
 class TestMatrixCacheIdentity:

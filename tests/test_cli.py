@@ -67,7 +67,7 @@ class TestMergeCache:
         entries = store.entries()
         resolver.exact(entries[0], entries[5])
         path = tmp_path / name
-        resolver.save_cache(path)
+        resolver.cache.save(path)
         return path
 
     def test_merge_cache_subcommand(self, tmp_path, capsys):

@@ -348,13 +348,13 @@ class TestCacheSidecar:
         for first, second in pairs:
             expected[(first.node, second.node)] = resolver.exact(first, second)
         path = tmp_path / "cache.ned"
-        written = resolver.save_cache(path)
-        assert written == resolver.cache_len()
+        written = resolver.cache.save(path)
+        assert written == len(resolver.cache)
         # Sidecars are written atomically (temp file + rename): no droppings.
         assert not path.with_name(path.name + ".tmp").exists()
 
         warm = self._resolver(dense)
-        loaded = warm.load_cache(path)
+        loaded = warm.cache.load(path)
         assert loaded == written
         # Loading is not a lookup: counters start clean, so cache_hit_rate
         # measures only this process's probes.
@@ -386,77 +386,55 @@ class TestCacheSidecar:
         assert lookups == warm.stats.cache_hits  # no misses when fully warm
         assert warm.stats.cache_hit_rate == 1.0
 
-    def test_warm_from_merges_without_overwriting(self, dense, tmp_path):
-        entries = dense.entries()
-        first = self._resolver(dense)
-        first.exact(entries[0], entries[1])
-        path = tmp_path / "cache.ned"
-        first.save_cache(path)
-
-        second = self._resolver(dense)
-        second.exact(entries[2], entries[3])
-        before = second.cache_len()
-        added = second.warm_from(path)
-        assert second.cache_len() == before + added
-        # Merging again adds nothing new.
-        assert second.warm_from(path) == 0
-        # Live-resolver source works the same way.
-        third = self._resolver(dense)
-        assert third.warm_from(second) == second.cache_len()
-
     def test_version_mismatch_rejected(self, dense, tmp_path):
         resolver = self._resolver(dense)
         path = tmp_path / "cache.ned"
-        resolver.save_cache(path)
+        resolver.cache.save(path)
         payload = pickle.loads(path.read_bytes())
         payload["version"] = 42
         path.write_bytes(pickle.dumps(payload))
         with pytest.raises(DistanceError, match="42"):
-            self._resolver(dense).load_cache(path)
+            self._resolver(dense).cache.load(path)
 
     def test_k_mismatch_rejected(self, dense, tmp_path):
         resolver = self._resolver(dense)
         path = tmp_path / "cache.ned"
-        resolver.save_cache(path)
+        resolver.cache.save(path)
         other = BoundedNedDistance(k=dense.k + 1, cache_size=DEFAULT_CACHE_SIZE)
         with pytest.raises(DistanceError, match="not comparable"):
-            other.load_cache(path)
-        with pytest.raises(DistanceError, match="k="):
-            other.warm_from(resolver)
+            other.cache.load(path)
 
     def test_backend_mismatch_rejected(self, dense, tmp_path):
         resolver = BoundedNedDistance(
             k=dense.k, backend="hungarian", cache_size=DEFAULT_CACHE_SIZE
         )
         path = tmp_path / "cache.ned"
-        resolver.save_cache(path)
+        resolver.cache.save(path)
         other = BoundedNedDistance(k=dense.k, backend="auto", cache_size=DEFAULT_CACHE_SIZE)
         with pytest.raises(DistanceError, match="backend"):
-            other.warm_from(path)
+            other.cache.load(path)
 
     def test_foreign_and_truncated_sidecar_rejected(self, dense, tmp_path):
         foreign = tmp_path / "foreign.ned"
         foreign.write_bytes(pickle.dumps({"format": "something-else"}))
         with pytest.raises(DistanceError, match="not a NED distance-cache"):
-            self._resolver(dense).load_cache(foreign)
+            self._resolver(dense).cache.load(foreign)
         resolver = self._resolver(dense)
         entries = dense.entries()
         resolver.exact(entries[0], entries[1])
         truncated = tmp_path / "truncated.ned"
-        resolver.save_cache(truncated)
+        resolver.cache.save(truncated)
         truncated.write_bytes(truncated.read_bytes()[:10])
         with pytest.raises(DistanceError):
-            self._resolver(dense).load_cache(truncated)
+            self._resolver(dense).cache.load(truncated)
 
     def test_disabled_cache_cannot_load_or_warm(self, dense, tmp_path):
         resolver = self._resolver(dense)
         path = tmp_path / "cache.ned"
-        resolver.save_cache(path)
+        resolver.cache.save(path)
         disabled = self._resolver(dense, cache_size=0)
         with pytest.raises(DistanceError, match="disabled"):
-            disabled.load_cache(path)
-        with pytest.raises(DistanceError, match="disabled"):
-            disabled.warm_from(path)
+            disabled.cache.load(path)
 
     def test_load_trims_to_cache_size_keeping_newest(self, dense, tmp_path):
         resolver = self._resolver(dense)
@@ -464,9 +442,9 @@ class TestCacheSidecar:
         for i in range(5):
             resolver.exact(entries[i], entries[i + 5])
         path = tmp_path / "cache.ned"
-        resolver.save_cache(path)
+        resolver.cache.save(path)
         small = BoundedNedDistance(k=dense.k, cache_size=2)
-        kept = small.load_cache(path)
+        kept = small.cache.load(path)
         assert kept <= 2
 
     def test_fig10_store_fingerprint_tracks_the_graph(self):
@@ -520,10 +498,10 @@ class TestEvictionAwareSidecar:
         for first, second in hot * 3:
             resolver.exact(first, second)
         path = tmp_path / "cache.ned"
-        resolver.save_cache(path)
+        resolver.cache.save(path)
 
         small = BoundedNedDistance(k=dense.k, cache_size=2)
-        assert small.load_cache(path) == 2
+        assert small.cache.load(path) == 2
         for first, second in hot:
             small.exact(first, second)
         assert small.counters.exact_evaluations == 0  # hottest survived
@@ -537,15 +515,15 @@ class TestEvictionAwareSidecar:
         resolver.exact(first, second)
         resolver.exact(first, second)  # 1 hit
         path = tmp_path / "cache.ned"
-        resolver.save_cache(path)
+        resolver.cache.save(path)
         payload = pickle.loads(path.read_bytes())
         assert payload["version"] == 2
         assert [hits for *_, hits in payload["entries"]] == [1]
 
         warm = BoundedNedDistance(k=dense.k, cache_size=DEFAULT_CACHE_SIZE)
-        warm.load_cache(path)
+        warm.cache.load(path)
         warm.exact(first, second)  # +1 hit on the loaded entry
-        warm.save_cache(path)
+        warm.cache.save(path)
         payload = pickle.loads(path.read_bytes())
         assert [hits for *_, hits in payload["entries"]] == [2]
 
@@ -554,29 +532,61 @@ class TestEvictionAwareSidecar:
         pairs = self._distinct_pairs(dense, 3)
         values = [resolver.exact(first, second) for first, second in pairs]
         path = tmp_path / "cache-v1.ned"
-        resolver.save_cache(path)
+        resolver.cache.save(path)
         payload = pickle.loads(path.read_bytes())
         payload["version"] = 1
         payload["entries"] = [(a, b, value) for a, b, value, _ in payload["entries"]]
         path.write_bytes(pickle.dumps(payload))
 
         warm = BoundedNedDistance(k=dense.k, cache_size=DEFAULT_CACHE_SIZE)
-        assert warm.load_cache(path) == 3
+        assert warm.cache.load(path) == 3
         for (first, second), value in zip(pairs, values):
             assert warm.exact(first, second) == value
         assert warm.counters.exact_evaluations == 0
         # With no hit counts every entry ties at 0, so an overflowing load
         # falls back to keeping the newest — the v1 behaviour.
         newest = BoundedNedDistance(k=dense.k, cache_size=1)
-        assert newest.load_cache(path) == 1
+        assert newest.cache.load(path) == 1
         last_first, last_second = pairs[-1]
         newest.exact(last_first, last_second)
         assert newest.counters.exact_evaluations == 0
 
+    def test_sidecar_layout_is_pinned(self, graph, tmp_path):
+        # k = 4, so the session's exact path (and its cache) is reached.
+        deep = TreeStore.from_graph(graph, k=4)
+        (probe, a), (_, b), (_, c) = self._distinct_pairs(deep, 3)
+        path = tmp_path / "cache.ned"
+        with NedSession(deep) as session:
+            resolver = session.resolver
+            values = [resolver.exact(probe, other) for other in (a, a, b, c)]
+            session.save_cache(path)
+            key_a, key_b, key_c = (resolver.cache.key(probe, x) for x in (a, b, c))
+        # Oldest first, each entry with its lifetime hit count.
+        assert pickle.loads(path.read_bytes()) == {
+            "format": "repro-ned-cache",
+            "version": 2,
+            "k": 4,
+            "backend": "auto",
+            "entries": [
+                (*key_a, values[0], 1),
+                (*key_b, values[2], 0),
+                (*key_c, values[3], 0),
+            ],
+        }
+        # An overflowing load keeps the hottest entries (a, then the newer
+        # of the two cold ones), in sidecar order rather than by hotness.
+        trimmed = tmp_path / "trimmed.ned"
+        with NedSession(deep, cache_size=2, cache_file=path) as small:
+            small.save_cache(trimmed)
+        assert pickle.loads(trimmed.read_bytes())["entries"] == [
+            (*key_a, values[0], 1),
+            (*key_c, values[3], 0),
+        ]
+
 
 class TestMergeSidecars:
     def _worker_sidecar(self, dense, tmp_path, name, pair_indices, repeats=0):
-        from repro.ted.resolver import merge_sidecars  # noqa: F401 (import check)
+        from repro.ted.cache import merge_sidecars  # noqa: F401 (import check)
 
         resolver = BoundedNedDistance(k=dense.k, cache_size=DEFAULT_CACHE_SIZE)
         entries = dense.entries()
@@ -586,11 +596,11 @@ class TestMergeSidecars:
             for i, j in pair_indices:
                 resolver.exact(entries[i], entries[j])
         path = tmp_path / name
-        resolver.save_cache(path)
+        resolver.cache.save(path)
         return path
 
     def test_merge_unions_entries_and_sums_hits(self, dense, tmp_path):
-        from repro.ted.resolver import merge_sidecars
+        from repro.ted.cache import merge_sidecars
 
         first = self._worker_sidecar(dense, tmp_path, "w0.ned", [(0, 9)], repeats=2)
         second = self._worker_sidecar(
@@ -603,27 +613,27 @@ class TestMergeSidecars:
         by_key = {(a, b): hits for a, b, _, hits in payload["entries"]}
         assert count == len(by_key)
         entries = dense.entries()
-        shared = BoundedNedDistance(k=dense.k, cache_size=4).cache_key(
+        shared = BoundedNedDistance(k=dense.k, cache_size=4).cache.key(
             entries[0], entries[9]
         )
         assert by_key[shared] == 3  # 2 hits from w0 + 1 from w1
         assert not output.with_name(output.name + ".tmp").exists()
 
         warm = BoundedNedDistance(k=dense.k, cache_size=DEFAULT_CACHE_SIZE)
-        warm.load_cache(output)
+        warm.cache.load(output)
         warm.exact(entries[0], entries[9])
         warm.exact(entries[1], entries[8])
         assert warm.counters.exact_evaluations == 0
 
     def test_merge_rejects_mismatched_headers(self, dense, tmp_path):
-        from repro.ted.resolver import merge_sidecars
+        from repro.ted.cache import merge_sidecars
 
         path = self._worker_sidecar(dense, tmp_path, "ok.ned", [(0, 9)])
         other = BoundedNedDistance(
             k=dense.k + 1, cache_size=DEFAULT_CACHE_SIZE
         )
         other_path = tmp_path / "other-k.ned"
-        other.save_cache(other_path)
+        other.cache.save(other_path)
         with pytest.raises(DistanceError, match="k="):
             merge_sidecars([path, other_path], tmp_path / "out.ned")
 
@@ -631,12 +641,12 @@ class TestMergeSidecars:
             k=dense.k, backend="hungarian", cache_size=DEFAULT_CACHE_SIZE
         )
         hungarian_path = tmp_path / "other-backend.ned"
-        hungarian.save_cache(hungarian_path)
+        hungarian.cache.save(hungarian_path)
         with pytest.raises(DistanceError, match="backend"):
             merge_sidecars([path, hungarian_path], tmp_path / "out.ned")
 
     def test_merge_rejects_empty_input_and_foreign_files(self, dense, tmp_path):
-        from repro.ted.resolver import merge_sidecars
+        from repro.ted.cache import merge_sidecars
 
         with pytest.raises(DistanceError, match="at least one"):
             merge_sidecars([], tmp_path / "out.ned")
@@ -645,36 +655,32 @@ class TestMergeSidecars:
         with pytest.raises(DistanceError, match="not a NED distance-cache"):
             merge_sidecars([foreign], tmp_path / "out.ned")
 
+    def test_merge_reads_v1_and_v2_inputs(self, dense, tmp_path):
+        from repro.ted.cache import merge_sidecars
 
-class TestWarmFromHitSemantics:
-    def test_shared_base_hits_are_not_multiplied_across_workers(self, dense, tmp_path):
-        """N workers warming from one base must not each re-export its hits."""
-        from repro.ted.resolver import merge_sidecars
-
-        entries = dense.entries()
-        base = BoundedNedDistance(k=dense.k, cache_size=DEFAULT_CACHE_SIZE)
-        base.exact(entries[0], entries[9])
-        base.exact(entries[0], entries[9])  # base entry: 1 hit
-        base_path = tmp_path / "base.ned"
-        base.save_cache(base_path)
-        base_key = base.cache_key(entries[0], entries[9])
-
-        worker_paths = []
-        for worker in range(3):
-            resolver = BoundedNedDistance(k=dense.k, cache_size=DEFAULT_CACHE_SIZE)
-            resolver.warm_from(base_path)  # merged entries arrive cold
-            resolver.exact(entries[1], entries[8])  # each worker's own pair
-            path = tmp_path / f"worker-{worker}.ned"
-            resolver.save_cache(path)
-            worker_paths.append(path)
-
-        merged = tmp_path / "merged.ned"
-        merge_sidecars([base_path] + worker_paths, merged)
-        payload = pickle.loads(merged.read_bytes())
-        by_key = {(a, b): hits for a, b, _, hits in payload["entries"]}
-        # The base entry's single hit is counted once (from the base sidecar
-        # itself), not once per warmed worker.
-        assert by_key[base_key] == 1
+        v1 = self._worker_sidecar(dense, tmp_path, "v1.ned", [(0, 9), (2, 7)])
+        payload = pickle.loads(v1.read_bytes())
+        payload["version"] = 1
+        payload["entries"] = [(a, b, value) for a, b, value, _ in payload["entries"]]
+        v1.write_bytes(pickle.dumps(payload))
+        v2 = self._worker_sidecar(dense, tmp_path, "v2.ned", [(0, 9), (1, 8)], repeats=1)
+        v1_entries = payload["entries"]
+        v2_entries = pickle.loads(v2.read_bytes())["entries"]
+        output = tmp_path / "merged.ned"
+        assert merge_sidecars([v1, v2], output) == 3
+        # v1 entries count 0 hits; the shared pair keeps v1's value and
+        # first-seen place, and adds v2's hit.
+        assert pickle.loads(output.read_bytes()) == {
+            "format": "repro-ned-cache",
+            "version": 2,
+            "k": dense.k,
+            "backend": "auto",
+            "entries": [
+                (*v1_entries[0], 1),
+                (*v1_entries[1], 0),
+                v2_entries[1],
+            ],
+        }
 
 
 class TestPackedParentStreaming:

@@ -263,7 +263,7 @@ class TestDeadline:
                 session.top_l(probe, 3, mode="exact")
             assert ted_star_calls[0] == 3 < distinct
             assert session.stats.exact_evaluations == 3
-            assert session.resolver.cache_len() == 3
+            assert len(session.resolver.cache) == 3
             session.resolver.set_deadline(None)
             assert session.top_l(probe, 3, mode="exact") == expected
             assert ted_star_calls[0] == session.stats.exact_evaluations == distinct
@@ -304,7 +304,7 @@ class TestDeadline:
                 session.execute(plan)
             finished = counters.exact_evaluations
             assert finished == (16 if batch else 11) < open_pairs
-            assert session.resolver.cache_len() == finished
+            assert len(session.resolver.cache) == finished
             session.resolver.set_deadline(None)
             retried = session.execute(plan)
         assert retried.values == expected.values

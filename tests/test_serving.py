@@ -836,6 +836,24 @@ class TestPersistentConnections:
         assert clock() - started < 0.25
 
 
+class TestServeCli:
+    @pytest.mark.parametrize("garbage", [b"not a pickle", b"\x80\x05\x95"])
+    def test_unreadable_cache_file_is_a_typed_exit(
+        self, demo_store, tmp_path, capsys, garbage
+    ):
+        from repro.serving.cli import main
+
+        store = tmp_path / "store.ned"
+        demo_store.save(store)
+        sidecar = tmp_path / "cache.ned"
+        sidecar.write_bytes(garbage)
+        argv = ["--store-dir", str(store), "--cache-file", str(sidecar), "--port", "0"]
+        # A worker thread, so main() leaves the signal handlers alone.
+        with ThreadPoolExecutor(1) as pool:
+            assert pool.submit(main, argv).result(timeout=60) == 2
+        assert "ned-serve: cannot open cache sidecar:" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # `python -m repro.serving` as a real subprocess
 # ---------------------------------------------------------------------------

@@ -404,7 +404,7 @@ class TestBatchBackendResolver:
             assert value_b == value_s
             assert interval_b == interval_s
         assert batch.counters == scipy.counters
-        assert batch.cache_len() == scipy.cache_len()
+        assert len(batch.cache) == len(scipy.cache)
 
     def test_matching_backend_property(self, store):
         assert BoundedNedDistance(k=3, backend=BATCH_BACKEND).matching_backend == "scipy"
@@ -445,7 +445,7 @@ class TestBatchBackendResolver:
             [(a.tree, b.tree) for a, b in pairs], store.k
         )
         assert resolver.counters == before
-        assert resolver.cache_len() == 0
+        assert len(resolver.cache) == 0
 
     def test_exact_many_without_kernel_degrades_per_pair(self, store):
         resolver = BoundedNedDistance(k=store.k, backend="scipy")
@@ -480,7 +480,7 @@ class TestResolveMany:
         loop = [sequential.exact(first, second) for first, second in pairs]
         assert [value for value, _ in block] == loop
         assert blocked.counters == sequential.counters
-        assert blocked.cache_len() == sequential.cache_len()
+        assert len(blocked.cache) == len(sequential.cache)
         for value, interval in block:
             assert interval.tier in (EXACT_TIER, CACHE_TIER)
             assert interval.lower == interval.upper == value
@@ -587,10 +587,10 @@ class TestBatchSidecarInterop:
                 first, second
             )
         path = tmp_path / "cache.sidecar"
-        written = writer.save_cache(path)
-        assert written == writer.cache_len()
+        written = writer.cache.save(path)
+        assert written == len(writer.cache)
         reader = BoundedNedDistance(k=store.k, backend=BATCH_BACKEND, cache_size=64)
-        assert reader.load_cache(path) == written
+        assert reader.cache.load(path) == written
 
     def test_batch_sidecar_interoperates_with_scipy(self, store, tmp_path):
         # Batch values realise scipy matching, so the sidecar records
@@ -599,14 +599,14 @@ class TestBatchSidecarInterop:
         entries = store.entries()
         writer.distance(entries[0], entries[1])
         path = tmp_path / "cache.sidecar"
-        writer.save_cache(path)
+        writer.cache.save(path)
         scipy_reader = BoundedNedDistance(k=store.k, backend="scipy", cache_size=64)
-        assert scipy_reader.load_cache(path) == 1
-        scipy_reader.save_cache(path)
+        assert scipy_reader.cache.load(path) == 1
+        scipy_reader.cache.save(path)
         batch_reader = BoundedNedDistance(
             k=store.k, backend=BATCH_BACKEND, cache_size=64
         )
-        assert batch_reader.load_cache(path) == 1
+        assert batch_reader.cache.load(path) == 1
 
     def test_auto_sidecar_still_rejected_by_batch(self, store, tmp_path):
         # "auto" could have resolved to hungarian in another environment;
@@ -615,14 +615,7 @@ class TestBatchSidecarInterop:
         entries = store.entries()
         writer.distance(entries[0], entries[1])
         path = tmp_path / "cache.sidecar"
-        writer.save_cache(path)
+        writer.cache.save(path)
         reader = BoundedNedDistance(k=store.k, backend=BATCH_BACKEND, cache_size=64)
         with pytest.raises(DistanceError):
-            reader.load_cache(path)
-
-    def test_warm_from_batch_resolver_into_scipy(self, store):
-        source = BoundedNedDistance(k=store.k, backend=BATCH_BACKEND, cache_size=64)
-        entries = store.entries()
-        source.distance(entries[0], entries[1])
-        target = BoundedNedDistance(k=store.k, backend="scipy", cache_size=64)
-        assert target.warm_from(source) == 1
+            reader.cache.load(path)
