@@ -19,7 +19,9 @@ k-adjacent trees are precomputed once in a :class:`repro.engine.TreeStore`
 and every anonymised node is matched through
 :meth:`repro.engine.NedSearchEngine.top_l_candidates`, which can skip most
 exact TED* evaluations via bound-based pruning while returning exactly the
-same candidate lists as the quadratic callable path.
+same candidate lists as the quadratic callable path.  The matrix-driven
+sweep (:func:`deanonymization_precision_with_matrix`) builds one cross
+matrix in process instead, with the batch kernel on its exact blocks.
 """
 
 from __future__ import annotations
@@ -251,7 +253,6 @@ def deanonymization_precision_with_matrix(
     k: int,
     top_l: int,
     mode: str = "bound-prune",
-    executor: str = "serial",
     sample_size: Optional[int] = None,
     seed: RngLike = 0,
     candidate_nodes: Optional[Sequence[Node]] = None,
@@ -266,8 +267,7 @@ def deanonymization_precision_with_matrix(
     same ``(distance, repr(node))`` tie order), but the batch build gets the
     engine's whole performance arsenal: bound-based resolution (``mode``),
     the signature-keyed distance cache (duplicate tree shapes are computed
-    once), and ``executor="process"``, which sends the exact blocks to a
-    shared-memory worker pool for multi-core sweeps.
+    once) and the array-native batch TED* kernel for the exact blocks.
     Returns the usual report plus the matrix build's counters.
     """
     check_positive_int(top_l, "top_l")
@@ -287,7 +287,7 @@ def deanonymization_precision_with_matrix(
     if sample_size is not None:
         targets = sample_distinct(targets, sample_size, seed)
     anon_store = TreeStore.from_graph(anonymized.graph, k, nodes=targets)
-    matrix = cross_distance_matrix(store, anon_store, mode=mode, executor=executor)
+    matrix = cross_distance_matrix(store, anon_store, mode=mode)
     report = _sweep(
         targets, anonymized, training_graph, top_l,
         lambda anon_node: top_l_from_matrix(matrix, anon_node, top_l),

@@ -16,10 +16,10 @@ warm piece of state:
   layer: one store, one warm :class:`repro.ted.resolver.BoundedNedDistance`
   resolver (bound tiers + the signature-keyed exact-distance cache,
   on by default), the cache-sidecar lifecycle (warm-if-exists at open,
-  save-on-close), the matrix executor, the batched executor, and the
-  asyncio serving facade.  Matrices, search engines and the metric indexes
-  are all thin consumers of a session, and the session is the only place
-  the resolver is configured.  Every exact TED* — matrix cells, kNN/top-L
+  save-on-close), the batched executor, and the asyncio serving facade.
+  Matrices, search engines and the metric indexes are all thin consumers
+  of a session, and the session is the only place the resolver is
+  configured.  Every exact TED* — matrix cells, kNN/top-L
   survivors, range and exact-mode scans — goes through the resolver's
   ``resolve_many`` → ``exact_many`` route.  When numpy/SciPy are available
   the session auto-attaches the array-native batch TED* kernel
@@ -30,8 +30,8 @@ warm piece of state:
   numpy bound survey per probe (:mod:`repro.ted.survey`), so the engine
   needs numpy; SciPy stays optional.
 * :mod:`repro.engine.matrix` — chunked pairwise/cross distance matrices
-  (``serial`` / ``process`` executors, ``bound-prune`` mode); the
-  module-level functions open a default session per build.
+  (``exact`` / ``bound-prune`` modes), built in process; the module-level
+  functions open a default session per build.
 * :mod:`repro.engine.search` — :class:`NedSearchEngine`: ``knn`` /
   ``range_search`` / ``top_l_candidates`` over any :mod:`repro.index`
   backend (``mode="exact"``) or via bound-pruned scans, with
@@ -86,16 +86,17 @@ Performance knobs (all on the session)
   session backs.  Pass ``0`` when raw touched-pair counters are the measurement (the tier
   ablations do).  ``stats.cache_hits`` / ``cache_misses`` /
   ``cache_hit_rate`` report the effect.
-* ``executor`` — where a matrix build's exact blocks run.  Every build
-  resolves its open cells through the resolver's ``resolve_many`` (cache,
-  within-build dedup, then ``exact_many`` blocks of ``chunk_size`` pairs).
-  ``"serial"`` evaluates the blocks in process; ``"process"`` hands them to
-  the serving layer's :class:`repro.serving.workers.SharedWorkerPool` —
-  the row store exported *once* into shared memory, ``max_workers``
-  processes attached to it — or to the pool a served session already has.
-  A broken pool restarts while the retry budget lasts; past that, or if it
-  cannot start, the remaining blocks run locally (only blocks not yet
-  returned are recomputed) and ``executor_used`` records the downgrade.
+* the worker pool — every matrix build resolves its open cells through
+  the resolver's ``resolve_many`` (cache, within-build dedup, then
+  ``exact_many`` blocks of ``chunk_size`` pairs), evaluated in process.
+  The one place blocks leave the process is ``ned-serve``'s
+  :class:`repro.serving.workers.SharedWorkerPool` (the store exported
+  *once* into shared memory), which the service attaches with
+  :meth:`NedSession.attach_block_dispatcher`.  If that pool fails, the
+  remaining blocks run locally (only blocks not yet returned are
+  recomputed) and ``executor_used`` records the downgrade.  A k = 4
+  pairwise build over 150 nodes ran 0.9× as fast on a 2-worker pool as
+  serially on 2 vCPUs, so builds do not start a pool of their own.
 * ``cache_file`` — the durable sidecar of the resolver's
   :class:`repro.ted.cache.DistanceCache`.  Since format v2 it persists
   per-entry *hit counts*, so an overflowing load keeps the hottest entries
@@ -115,7 +116,6 @@ Quickstart
 """
 
 from repro.engine.matrix import (
-    EXECUTORS,
     MODES,
     MatrixResult,
     cross_distance_matrix,
@@ -168,7 +168,6 @@ __all__ = [
     "BOUND_TIERS",
     "TIER_CASCADE",
     "MODES",
-    "EXECUTORS",
     "SEARCH_MODES",
     "INDEX_BACKENDS",
 ]

@@ -8,19 +8,14 @@ what it can, and the open cells go through one
 lookups, within-build dedup, then exact TED* in
 :meth:`~repro.ted.resolver.BoundedNedDistance.exact_many` blocks of
 ``chunk_size`` pairs, each offered to the resolver's attached block
-dispatcher, else the batch kernel, else per-pair ``ted_star``.  Three
-orthogonal knobs:
+dispatcher, else the batch kernel, else per-pair ``ted_star``.  Builds
+run in the calling process; the only worker pool is the one ``ned-serve``
+attaches to its session
+(:class:`repro.serving.workers.SharedWorkerPool`), which takes the exact
+blocks of every build the service runs.  ``executor_used`` reads
+``serial (fallback: <error>)`` once that pool has failed.  Two orthogonal
+knobs:
 
-* ``executor`` — where the exact blocks run.  ``"serial"`` evaluates them
-  in process.  ``"process"`` attaches, for the build's duration, a
-  :class:`repro.serving.workers.SharedWorkerPool` of ``max_workers``
-  processes (default ``os.cpu_count()``) over the row store exported once
-  into shared memory — or reuses the dispatcher a served session already
-  has.  The pool restarts itself after a worker death while the session's
-  retry budget lasts (``executor.pool_restarts``); past that, or when it
-  cannot start at all (restricted sandboxes), it declines every later
-  block, the resolver evaluates those locally, and ``executor_used``
-  records the fallback.  Only blocks not yet returned are recomputed.
 * ``mode`` — ``"exact"`` evaluates every pair; ``"bound-prune"`` first
   bounds each pair with the :class:`repro.ted.resolver.BoundedNedDistance`
   cascade (signature → level-size → degree-multiset), run as one numpy
@@ -33,7 +28,7 @@ orthogonal knobs:
   only).  With the batch kernel active, ``"exact"`` builds take the survey
   too where it pins every pair (k ≤ 3 with the degree tier on, see
   :attr:`~repro.ted.resolver.BoundedNedDistance.closed_form`): those builds
-  never reach the cache, the kernel or the executor.  ``batch=False``
+  never reach the cache, the kernel or the worker pool.  ``batch=False``
   sessions evaluate every exact-mode pair with per-pair TED*.
 * ``cache_size`` — a session setting: capacity of the signature-keyed
   distance cache (0 disables every signature-based shortcut, including
@@ -48,19 +43,17 @@ themselves and run :class:`~repro.engine.session.PairwiseMatrixPlan` /
 :class:`~repro.engine.session.CrossMatrixPlan` through it, sharing the warm
 resolver (and its sidecar lifecycle) across builds and search queries alike.
 
-All modes and executors return identical values for every finite entry;
-they only differ in how many exact TED* computations are paid for (reported
-per tier in ``stats``) and where those computations run.
+All modes return identical values for every finite entry, on the pool or
+off it; they only differ in how many exact TED* computations are paid for
+(reported per tier in ``stats``).
 """
 
 from __future__ import annotations
 
 import math
-import os
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Dict, Hashable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
 from repro.exceptions import DistanceError
 from repro.engine.shards import ShardedTreeStore
@@ -77,7 +70,6 @@ Node = Hashable
 StoreLike = Union[TreeStore, ShardedTreeStore]
 
 MODES = ("exact", "bound-prune")
-EXECUTORS = ("serial", "process")
 
 
 @dataclass
@@ -90,7 +82,8 @@ class MatrixResult:
     per-pair lookups (:meth:`value`) and per-row rankings are O(1)/O(n)
     instead of the O(n) / O(n²) a ``list.index`` scan would cost.  Each is
     built on first use: most results are read by position and never need
-    them.
+    them.  ``executor`` is ``"serial"`` for a local build and ``"remote"``
+    for a result decoded from the NED wire.
     """
 
     row_nodes: List[Node]
@@ -123,9 +116,7 @@ class MatrixResult:
 def pairwise_distance_matrix(
     store: StoreLike,
     mode: str = "exact",
-    executor: str = "serial",
     chunk_size: int = 64,
-    max_workers: Optional[int] = None,
     threshold: Optional[float] = None,
 ) -> MatrixResult:
     """Return the symmetric all-pairs NED matrix of one store.
@@ -141,7 +132,7 @@ def pairwise_distance_matrix(
     from repro.engine.session import NedSession, PairwiseMatrixPlan
 
     plan = PairwiseMatrixPlan(mode=mode, threshold=threshold, chunk_size=chunk_size)
-    with NedSession(store, executor=executor, max_workers=max_workers) as session:
+    with NedSession(store) as session:
         return session.execute(plan)
 
 
@@ -149,9 +140,7 @@ def cross_distance_matrix(
     row_store: StoreLike,
     col_store: StoreLike,
     mode: str = "exact",
-    executor: str = "serial",
     chunk_size: int = 64,
-    max_workers: Optional[int] = None,
     threshold: Optional[float] = None,
 ) -> MatrixResult:
     """Return the rows × columns NED matrix between two stores.
@@ -169,7 +158,7 @@ def cross_distance_matrix(
     plan = CrossMatrixPlan(
         col_store=col_store, mode=mode, threshold=threshold, chunk_size=chunk_size
     )
-    with NedSession(row_store, executor=executor, max_workers=max_workers) as session:
+    with NedSession(row_store) as session:
         return session.execute(plan)
 
 
@@ -178,15 +167,11 @@ def build_matrix_with_resolver(
     col_store: StoreLike,
     symmetric: bool,
     mode: str,
-    executor: str,
     chunk_size: int,
-    max_workers: Optional[int],
     threshold: Optional[float],
     resolver: BoundedNedDistance,
     tracer: Optional[Tracer] = None,
     metrics: Optional[MetricsRegistry] = None,
-    faults=None,
-    retry=None,
 ) -> MatrixResult:
     """Build one matrix against an already-constructed (warm) resolver.
 
@@ -199,20 +184,13 @@ def build_matrix_with_resolver(
 
     ``tracer`` adds ``matrix.survey`` / ``matrix.exact`` spans around the
     two passes; ``metrics`` collects per-block timings
-    (``executor.chunk_seconds`` / ``executor.chunks``) and, under
-    ``executor="process"``, the worker pool's dispatch counters.
-
-    ``faults`` (a :class:`repro.resilience.FaultPlan`) activates the
-    ``"executor.dispatch"`` site in the worker pool a ``"process"`` build
-    starts; ``retry`` (a :class:`repro.resilience.RetryPolicy`) gives that
-    pool its restart budget (``executor.pool_restarts``) before it falls
-    back to local evaluation (``serving.dispatch_fallbacks``).  Both warn
-    with the original error; values are identical on every path.
+    (``executor.chunk_seconds`` / ``executor.chunks``).  A block dispatcher
+    attached to the resolver (the service's worker pool) takes the exact
+    blocks; ``executor_used`` records its failure, after which the blocks
+    run locally with identical values.
     """
     if mode not in MODES:
         raise DistanceError(f"unknown matrix mode {mode!r}; expected one of {MODES}")
-    if executor not in EXECUTORS:
-        raise DistanceError(f"unknown executor {executor!r}; expected one of {EXECUTORS}")
     if chunk_size < 1:
         raise DistanceError(f"chunk_size must be >= 1, got {chunk_size}")
     if threshold is not None and threshold < 0:
@@ -255,15 +233,12 @@ def build_matrix_with_resolver(
 
     # Open cells: the cache with within-build dedup, then exact blocks
     # through the attached dispatcher.
-    with _dispatcher(
-        executor, row_store, resolver, max_workers, metrics, faults, retry
-    ) as dispatcher:
-        with tracer.span("matrix.exact", pairs=len(cells)):
-            resolved = resolver.resolve_many(
-                [(rows[i], cols[j]) for i, j in cells],
-                block_size=chunk_size,
-                evaluate=evaluate,
-            )
+    with tracer.span("matrix.exact", pairs=len(cells)):
+        resolved = resolver.resolve_many(
+            [(rows[i], cols[j]) for i, j in cells],
+            block_size=chunk_size,
+            evaluate=evaluate,
+        )
     for (i, j), (value, _) in zip(cells, resolved):
         values[i][j] = value
 
@@ -271,11 +246,11 @@ def build_matrix_with_resolver(
     # resolver keeps its own session-lifetime totals).
     stats.merge(resolver.counters.since(counter_snapshot))
 
-    executor_used = executor
-    failure = getattr(dispatcher, "failure", None)
+    executor_used = "serial"
+    failure = getattr(resolver.block_dispatcher, "failure", None)
     if failure is not None:
         executor_used = f"serial (fallback: {type(failure).__name__})"
-    elif executor == "serial" and resolver.batch_active and stats.exact_evaluations:
+    elif resolver.batch_active and stats.exact_evaluations:
         executor_used = "serial[batch]"
 
     if symmetric:
@@ -288,56 +263,10 @@ def build_matrix_with_resolver(
         col_nodes=col_store.nodes(),
         values=values,
         mode=mode,
-        executor=executor,
+        executor="serial",
         executor_used=executor_used,
         stats=stats,
     )
-
-
-@contextmanager
-def _dispatcher(
-    executor: str,
-    row_store: StoreLike,
-    resolver: BoundedNedDistance,
-    max_workers: Optional[int],
-    metrics: Optional[MetricsRegistry],
-    faults,
-    retry,
-) -> Iterator[Any]:
-    """The worker pool a ``"process"`` build runs under (``None`` if serial).
-
-    Serial builds leave the resolver as it is (a served session's pool
-    still takes their blocks).  Process builds reuse a dispatcher the
-    resolver already has; otherwise they attach a
-    :class:`~repro.serving.workers.SharedWorkerPool` over the row store for
-    the build's duration.  The pool exports and forks at its first block,
-    so builds the survey or the cache settle never start a process.
-    """
-    if executor == "serial":
-        yield None
-        return
-    attached = resolver.block_dispatcher
-    if attached is not None:
-        yield attached
-        return
-    from repro.serving.workers import SharedWorkerPool
-
-    pool = SharedWorkerPool(
-        None,
-        row_store,
-        workers=max_workers or os.cpu_count() or 1,
-        backend=resolver.matching_backend,
-        metrics=metrics,
-        min_pairs=1,
-        restarts=0 if retry is None else retry.attempts_for("executor.dispatch") - 1,
-        faults=faults,
-    )
-    resolver.attach_block_dispatcher(pool)
-    try:
-        yield pool
-    finally:
-        resolver.attach_block_dispatcher(None)
-        pool.close()
 
 
 def _survey_cells(

@@ -18,10 +18,11 @@ serving both batch and point workloads:
 * the cache-sidecar lifecycle: ``cache_file=`` warms the resolver at open if
   the sidecar exists and saves it back on :meth:`~NedSession.close` (sessions
   are context managers; closing twice is a no-op),
-* the matrix executor (``"serial"`` in-process exact blocks, or
-  ``"process"``: a shared-memory worker pool), plus the *batched* executor
-  (:meth:`~NedSession.execute_batch`) and its asyncio serving facade
-  (:meth:`~NedSession.serve`).
+* the *batched* executor (:meth:`~NedSession.execute_batch`) and its
+  asyncio serving facade (:meth:`~NedSession.serve`); exact blocks run in
+  process unless a block dispatcher is attached
+  (:meth:`~NedSession.attach_block_dispatcher`) — ``ned-serve``'s
+  shared-memory worker pool, the only one.
 
 Query plans
 -----------
@@ -104,24 +105,18 @@ Query = Union[StoredTree, Tree]
 StoreLike = Union[TreeStore, ShardedTreeStore]
 PathLike = Union[str, Path]
 
-#: Matrix executors a session accepts (see :mod:`repro.engine.matrix`).
-SESSION_EXECUTORS = ("serial", "process")
-
-
 # --------------------------------------------------------------------- plans
 @dataclass(frozen=True)
 class PairwiseMatrixPlan:
     """All-pairs NED matrix over the session's store.
 
     ``mode`` is ``"exact"`` or ``"bound-prune"``; with a ``threshold`` the
-    bound tiers may mark pairs ``inf`` without evaluating them.  ``executor``
-    overrides the session's executor for this plan only.
+    bound tiers may mark pairs ``inf`` without evaluating them.
     """
 
     mode: str = "exact"
     threshold: Optional[float] = None
     chunk_size: int = 64
-    executor: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -137,7 +132,6 @@ class CrossMatrixPlan:
     mode: str = "exact"
     threshold: Optional[float] = None
     chunk_size: int = 64
-    executor: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -223,12 +217,6 @@ class NedSession:
         saved back by :meth:`close` (context-manager exit), even after an
         exception — every cached entry is exact, so a partial sidecar is
         still a valid resume point.  Incompatible with ``cache_size=0``.
-    executor:
-        Default matrix executor (``"serial"`` or ``"process"``); individual
-        matrix plans may override it.
-    max_workers:
-        Worker count for the ``"process"`` executor (default
-        ``os.cpu_count()``).
     mode, index:
         Default query mode / index backend for point plans
         (:class:`KnnPlan` etc.) that do not override them.
@@ -259,8 +247,8 @@ class NedSession:
         builds take their intervals from the numpy bound survey either way.
     resilience:
         A :class:`repro.resilience.ResiliencePolicy` wired through every
-        layer the session owns (shard decodes, sidecar load/save, matrix
-        executors, the exact-tier circuit breakers, per-plan deadlines,
+        layer the session owns (shard decodes, sidecar load/save, the
+        exact-tier circuit breakers, per-plan deadlines,
         serving-queue bounds).  ``None`` (default) uses
         :data:`repro.resilience.DEFAULT_POLICY` — retries and breakers on
         (no result changes in a healthy run), no deadline, strict sidecars.
@@ -289,8 +277,6 @@ class NedSession:
         tiers: Optional[Sequence[str]] = None,
         cache_size: Optional[int] = None,
         cache_file: Optional[PathLike] = None,
-        executor: str = "serial",
-        max_workers: Optional[int] = None,
         mode: str = "bound-prune",
         index: str = "linear",
         leaf_size: int = 8,
@@ -316,18 +302,11 @@ class NedSession:
                 "cache_file needs the distance cache: a session with "
                 "cache_size=0 has nothing to persist"
             )
-        if executor not in SESSION_EXECUTORS:
-            raise DistanceError(
-                f"unknown executor {executor!r}; expected one of "
-                f"{SESSION_EXECUTORS}"
-            )
         self.store = store
         self.k = k
         self.backend = backend
         self.cache_size = cache_size
         self.cache_file = Path(cache_file) if cache_file is not None else None
-        self.executor = executor
-        self.max_workers = max_workers
         self.mode = mode
         self.index = index
         self.leaf_size = leaf_size
@@ -650,7 +629,6 @@ class NedSession:
             "sidecar_save_failures": counters.get(
                 "resilience.sidecar_save_failures", 0
             ),
-            "pool_restarts": counters.get("executor.pool_restarts", 0),
             "serial_fallbacks": counters.get("serving.dispatch_fallbacks", 0),
         }
         breakers = self._resolver.breaker_states()
@@ -830,15 +808,11 @@ class NedSession:
             col_store,
             symmetric=symmetric,
             mode=plan.mode,
-            executor=plan.executor if plan.executor is not None else self.executor,
             chunk_size=plan.chunk_size,
-            max_workers=self.max_workers,
             threshold=plan.threshold,
             resolver=self._resolver,
             tracer=self.tracer,
             metrics=self.metrics,
-            faults=self.faults,
-            retry=self._retry,
         )
         # The shared resolver counters already hold the per-tier deltas; the
         # builder tracks pairs_considered only on the per-build stats, so
@@ -874,16 +848,15 @@ class NedSession:
         if isinstance(plan, TopLPlan):
             return (1, "topl", plan.mode or self.mode, "", plan.probe.signature,
                     plan.top_l)
-        executor = plan.executor if plan.executor is not None else self.executor
         # threshold is normalised so the key tuples stay totally ordered
         # (None never meets a float in a comparison).
         threshold = -1.0 if plan.threshold is None else float(plan.threshold)
         if isinstance(plan, PairwiseMatrixPlan):
-            return (0, "matrix-pairwise", plan.mode, executor,
-                    f"{id(self.store)}:{threshold}:{plan.chunk_size}", 0)
+            return (0, "matrix-pairwise", plan.mode,
+                    f"{id(self.store)}:{threshold}:{plan.chunk_size}")
         if isinstance(plan, CrossMatrixPlan):
-            return (0, "matrix-cross", plan.mode, executor,
-                    f"{id(plan.col_store)}:{threshold}:{plan.chunk_size}", 0)
+            return (0, "matrix-cross", plan.mode,
+                    f"{id(plan.col_store)}:{threshold}:{plan.chunk_size}")
         return None
 
     def execute_batch(
@@ -1066,7 +1039,7 @@ class NedSession:
         size = len(self.store) if self.store is not None else 0
         return (
             f"NedSession(k={self.k}, nodes={size}, cache_size={self.cache_size}, "
-            f"executor={self.executor!r}, closed={self._closed})"
+            f"closed={self._closed})"
         )
 
 

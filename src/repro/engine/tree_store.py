@@ -351,7 +351,7 @@ class TreeStore:
         try:
             entries = [_decode_entry(record, k, version) for record in payload["entries"]]
             return cls(k, entries)
-        except (KeyError, TypeError, ValueError, TreeError) as error:
+        except (IndexError, KeyError, TypeError, ValueError, TreeError) as error:
             raise GraphError(
                 f"{path} is not a valid TreeStore file ({type(error).__name__}: {error})"
             ) from error

@@ -25,16 +25,14 @@ METRIC_NAMES = frozenset(
         "batch.deduplicated_plans",
         "batch.plans",
         "batch.ticks",
-        # matrix exact blocks and the worker pool's restarts
+        # matrix exact blocks
         "executor.chunk_seconds",
         "executor.chunks",
-        "executor.pool_restarts",
         # resilience layer
         "resilience.breaker_reopens",
         "resilience.breaker_trips",
         "resilience.deadline_exceeded",
         "resilience.degrades",
-        "resilience.retries.executor.dispatch",
         "resilience.retry_attempt_seconds",
         "resilience.retry_backoff_seconds",
         "resilience.shed_requests",

@@ -285,7 +285,7 @@ class ResiliencePolicy:
     ----------
     retry:
         The :class:`RetryPolicy` applied at the retryable sites (shard
-        decode, sidecar load/save, executor dispatch).  ``None`` disables
+        decode, sidecar load/save).  ``None`` disables
         retries.
     deadline:
         Per-plan wall-clock budget in seconds for ``execute`` /

@@ -13,8 +13,10 @@ split that removes those N per-process copies:
   :mod:`multiprocessing.shared_memory` (:mod:`repro.serving.shm`), and N
   worker processes read it zero-copy through int64 ``memoryview`` casts
   (:mod:`repro.serving.workers`) to evaluate exact TED* blocks — one
-  resident copy of the data, no per-worker pickles (``executor="process"``
-  matrix builds run on the same pool);
+  resident copy of the data, no per-worker pickles.  This pool is the only
+  place exact blocks leave the process: it isolates worker crashes (the
+  service degrades to local evaluation), while in-process matrix builds
+  stay serial, because shipping a k = 4 block costs more than it saves;
 * clients speak a small HTTP/JSON protocol
   (:mod:`repro.serving.protocol`, :class:`~repro.serving.client.
   NedServiceClient`) whose wire schema is the session's frozen plan

@@ -10,18 +10,20 @@ kernel.
 
 The pool *is* a block dispatcher (see
 :meth:`repro.ted.resolver.BoundedNedDistance.attach_block_dispatcher`), and
-the only one: the NED service attaches it for its lifetime, and a
-``executor="process"`` matrix build attaches one for the build's duration.
-Calling it with an ``exact_many`` pair block either returns the values —
-computed by splitting the block across the workers, each sub-block shipped
-as bare ``(ref, ref)`` pairs where a ref is a store index (int) or a probe
-parent array (list) — or returns ``None`` to decline, which sends the
-block down the resolver's local path unchanged.  Declines happen for
+the only one: the NED service exports its store and attaches the pool for
+its lifetime, so every exact block the service computes — matrix builds and
+point queries alike — is offered to it.  Calling it with an ``exact_many``
+pair block either returns the values — computed by splitting the block
+across the workers, each sub-block shipped as bare ``(ref, ref)`` pairs
+where a ref is a store index (int) or a probe parent array (list) — or
+returns ``None`` to decline, which sends the block down the resolver's
+local path unchanged.  Declines happen for
 blocks too small to amortise IPC (``min_pairs``) and permanently once the
 pool fails (a crashed worker degrades the caller to local evaluation; it
-never takes it down).  A ``restarts`` budget first replaces a broken pool
-with a fresh one.  Values are bit-identical either way: workers run the
-same batch kernel / per-pair matching the local path realises.
+never takes it down).  A failed pool is never restarted: the service is
+multi-threaded by then, and forking a threaded process can deadlock the
+child.  Values are bit-identical either way: workers run the same batch
+kernel / per-pair matching the local path realises.
 
 Worker telemetry is exported and folded: each block times itself into a
 throwaway :class:`~repro.obs.MetricsRegistry`
@@ -41,7 +43,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from repro.exceptions import DeadlineError, DistanceError, OverloadError
 from repro.obs import MetricsRegistry
 from repro.resilience.faults import ResilienceWarning
-from repro.serving.shm import AttachedStore, StoreHandle, export_store
+from repro.serving.shm import AttachedStore, StoreHandle
 from repro.utils.timer import clock
 
 #: A wire ref naming one tree in a dispatched pair: a store entry index, or
@@ -142,11 +144,11 @@ class SharedWorkerPool:
     Parameters
     ----------
     handle:
-        The :class:`~repro.serving.shm.StoreHandle` of an exported store,
-        or ``None`` to have the pool export ``store`` itself at first use
-        and unlink that segment in :meth:`close`.
+        The :class:`~repro.serving.shm.StoreHandle` of an exported store
+        (:func:`repro.serving.shm.export_store`); its exporter owns the
+        segment and unlinks it.
     store:
-        The parent-side store the handle was (or will be) exported from —
+        The parent-side store the handle was exported from —
         used to map dispatched :class:`~repro.engine.tree_store.StoredTree`
         objects back to their entry index (validated by signature; a
         mismatch ships the probe's parent array instead of trusting the
@@ -161,10 +163,6 @@ class SharedWorkerPool:
         snapshots.
     min_pairs:
         Blocks smaller than this are declined (local evaluation).
-    restarts:
-        How many times a pool that breaks (:class:`BrokenExecutor`) is
-        replaced by a fresh one before the pool gives up.  A restart forks,
-        so multi-threaded callers (the NED service) keep the default 0.
     faults:
         A :class:`repro.resilience.FaultPlan`; activates the
         ``"executor.dispatch"`` site once per dispatched block.
@@ -172,13 +170,12 @@ class SharedWorkerPool:
 
     def __init__(
         self,
-        handle: Optional[StoreHandle],
+        handle: StoreHandle,
         store,
         workers: int,
         backend: str = "auto",
         metrics: Optional[MetricsRegistry] = None,
         min_pairs: int = DEFAULT_MIN_PAIRS,
-        restarts: int = 0,
         faults=None,
     ) -> None:
         if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
@@ -190,24 +187,18 @@ class SharedWorkerPool:
         self.backend = backend
         self.metrics = metrics
         self.min_pairs = min_pairs
-        self.restarts = restarts
         self.faults = faults
         #: The error that made the pool give up (``None`` while healthy).
         self.failure: Optional[BaseException] = None
-        self._store = store
         self._index_by_node = {
             node: index for index, node in enumerate(store.nodes())
         }
-        self._export = None
         self._pool: Optional[ProcessPoolExecutor] = None
         self._closed = False
 
     # ----------------------------------------------------------- dispatching
     def _executor(self) -> ProcessPoolExecutor:
-        """The live process pool; exports the store and forks on first use."""
-        if self.handle is None:
-            self._export = export_store(self._store, metrics=self.metrics)
-            self.handle = self._export.handle
+        """The live process pool; forks on first use."""
         if self._pool is None:
             self._pool = ProcessPoolExecutor(
                 max_workers=self.workers,
@@ -243,38 +234,32 @@ class SharedWorkerPool:
         """The dispatcher contract: values, or ``None`` to decline.
 
         Service-protection errors (:class:`~repro.exceptions.DeadlineError`,
-        :class:`~repro.exceptions.OverloadError`) propagate.  A broken pool
-        is restarted while the ``restarts`` budget lasts (the block is then
-        dispatched again); any other failure marks the pool failed, counts
-        one ``serving.dispatch_fallbacks`` and declines this and every later
-        block — the resolver's local path keeps computing bit-identical
-        values.
+        :class:`~repro.exceptions.OverloadError`) propagate.  Any other
+        failure (a dead worker raises :class:`BrokenExecutor`) marks the
+        pool failed, counts one ``serving.dispatch_fallbacks`` and declines
+        this and every later block — the resolver's local path keeps
+        computing bit-identical values.
         """
         if self.failure is not None or self._closed or len(pairs) < self.min_pairs:
             return None
         metrics = self.metrics
         started = clock() if metrics is not None else 0.0
-        while True:
-            try:
-                pool = self._executor()
-                if self.faults is not None:
-                    # "kill" specs raise BrokenExecutor here, the same
-                    # parent-side shape a dead worker produces.
-                    self.faults.fire("executor.dispatch", kill_error=BrokenExecutor)
-                refs = [(self._ref(a), self._ref(b)) for a, b in pairs]
-                futures = [
-                    pool.submit(_evaluate_block, chunk) for chunk in self._split(refs)
-                ]
-                outcomes = [future.result() for future in futures]
-                break
-            except (DeadlineError, OverloadError):
-                raise
-            except Exception as error:
-                if isinstance(error, BrokenExecutor) and self.restarts > 0:
-                    self._restart(error)
-                    continue
-                self._fail(error)
-                return None
+        try:
+            pool = self._executor()
+            if self.faults is not None:
+                # "kill" specs raise BrokenExecutor here, the same
+                # parent-side shape a dead worker produces.
+                self.faults.fire("executor.dispatch", kill_error=BrokenExecutor)
+            refs = [(self._ref(a), self._ref(b)) for a, b in pairs]
+            futures = [
+                pool.submit(_evaluate_block, chunk) for chunk in self._split(refs)
+            ]
+            outcomes = [future.result() for future in futures]
+        except (DeadlineError, OverloadError):
+            raise
+        except Exception as error:
+            self._fail(error)
+            return None
         values: List[float] = []
         for chunk_values, snapshot in outcomes:
             values.extend(chunk_values)
@@ -285,21 +270,6 @@ class SharedWorkerPool:
             metrics.inc("serving.dispatch_blocks")
             metrics.inc("serving.dispatch_pairs", len(pairs))
         return values
-
-    def _restart(self, error: BaseException) -> None:
-        """Spend one restart: drop the broken pool; the next use forks anew."""
-        self.restarts -= 1
-        if self.metrics is not None:
-            self.metrics.inc("executor.pool_restarts")
-            self.metrics.inc("resilience.retries.executor.dispatch")
-        warnings.warn(
-            f"worker pool broke ({type(error).__name__}: {error}); "
-            "restarting it",
-            ResilienceWarning,
-            stacklevel=3,
-        )
-        self._pool.shutdown(wait=True, cancel_futures=True)
-        self._pool = None
 
     def _fail(self, error: BaseException) -> None:
         """Give up on the pool: count, warn, decline every later block."""
@@ -352,8 +322,7 @@ class SharedWorkerPool:
     def close(self) -> None:
         """Shut the worker processes down (idempotent).
 
-        A segment the pool exported itself is unlinked here too; a handle
-        passed in belongs to its exporter (the server's
+        The segment belongs to its exporter (the server's
         :class:`~repro.serving.shm.StoreExport` unlinks it exactly once in
         its own close — including when this pool died first).
         """
@@ -362,5 +331,3 @@ class SharedWorkerPool:
         self._closed = True
         if self._pool is not None:
             self._pool.shutdown(wait=True, cancel_futures=True)
-        if self._export is not None:
-            self._export.close()

@@ -55,6 +55,23 @@ def atomic_pickle_dump(payload: object, path: Path) -> None:
         raise
 
 
+#: What ``pickle.load`` raises on corrupt bytes.  Mutated files produce
+#: every one of these (a bad opcode, a truncated frame, a non-UTF-8 string,
+#: a wrong argument type, a huge length); ``MemoryError`` comes from a
+#: corrupt size the loader cannot allocate.
+_DECODE_ERRORS = (
+    pickle.UnpicklingError,
+    EOFError,
+    AttributeError,
+    ImportError,
+    IndexError,
+    MemoryError,
+    OverflowError,
+    TypeError,
+    ValueError,
+)
+
+
 def load_validated_payload(
     path: Union[str, Path],
     expected_format: str,
@@ -64,20 +81,21 @@ def load_validated_payload(
 ) -> dict:
     """Read a persisted payload and validate its format/version header.
 
-    Unpickling failures (truncated/corrupt/foreign bytes), a wrong or
-    missing ``format`` marker, and an unsupported ``version`` all raise
-    ``error_cls`` with a message naming ``kind`` and the path.  A missing
-    file raises :class:`FileNotFoundError` untouched — callers with a more
-    helpful story for that case (e.g. an incomplete shard set) wrap it
-    themselves.  Returns the validated payload dict, ``version`` included.
+    Unpickling failures (truncated/corrupt/foreign bytes), a path that names
+    a directory, a wrong or missing ``format`` marker, and an unsupported
+    ``version`` all raise ``error_cls`` with a message naming ``kind`` and
+    the path.  A missing file raises :class:`FileNotFoundError` untouched —
+    callers with a more helpful story for that case (e.g. an incomplete
+    shard set) wrap it themselves.  Returns the validated payload dict,
+    ``version`` included.
     """
-    with Path(path).open("rb") as handle:
-        try:
+    try:
+        with Path(path).open("rb") as handle:
             payload = pickle.load(handle)
-        except (pickle.UnpicklingError, EOFError, AttributeError, ImportError) as error:
-            raise error_cls(
-                f"{path} is not a {kind} file ({type(error).__name__}: {error})"
-            ) from error
+    except (IsADirectoryError, *_DECODE_ERRORS) as error:
+        raise error_cls(
+            f"{path} is not a {kind} file ({type(error).__name__}: {error})"
+        ) from error
     if not isinstance(payload, dict) or payload.get("format") != expected_format:
         raise error_cls(f"{path} is not a {kind} file")
     version = payload.get("version")

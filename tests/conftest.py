@@ -44,6 +44,45 @@ def ted_star_calls(monkeypatch):
 
 
 @pytest.fixture
+def attached_pool():
+    """Attach a shared-memory worker pool to a session, as ``ned-serve`` does.
+
+    ``attach(session, workers=2, **options)`` exports the session's store,
+    starts a :class:`~repro.serving.workers.SharedWorkerPool` over it with
+    the session's backend, metrics and faults (``options`` override them;
+    ``min_pairs`` defaults to 1) and attaches it.  At teardown every pool is
+    detached and closed, and its segment unlinked.
+    """
+    from contextlib import ExitStack
+
+    from repro.serving.shm import export_store
+    from repro.serving.workers import SharedWorkerPool
+
+    with ExitStack() as stack:
+
+        def attach(session, workers=2, **options):
+            export = stack.enter_context(export_store(session.store))
+            pool = SharedWorkerPool(
+                export.handle,
+                session.store,
+                workers=workers,
+                **{
+                    "backend": session.resolver.matching_backend,
+                    "metrics": session.metrics,
+                    "min_pairs": 1,
+                    "faults": session.faults,
+                    **options,
+                },
+            )
+            stack.callback(pool.close)
+            stack.callback(session.attach_block_dispatcher, None)
+            session.attach_block_dispatcher(pool)
+            return pool
+
+        yield attach
+
+
+@pytest.fixture
 def rng():
     """A deterministic RNG for tests that need randomness."""
     return random.Random(12345)

@@ -10,7 +10,8 @@ exactly one injected fault, and asserts the engine's resilience contract:
 * a *persistent* fault (on-disk corruption, exhausted retries) surfaces as
   the layer's *typed* error — never a hang, never a silently wrong result;
 * on-disk artifacts not deliberately corrupted stay loadable (atomic writes
-  never tear the previous file);
+  never tear the previous file), and a seeded byte mutation of a persisted
+  file either loads or raises a typed error;
 * no retry re-pays a pair that had finished: a healed run's resolver
   counters (``exact_evaluations`` first) equal a fault-free run's.
 
@@ -21,9 +22,13 @@ reproduces locally with the printed seed.
 
 import asyncio
 import os
+import random
+import re
 import shutil
 import warnings
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
@@ -38,6 +43,7 @@ from repro.exceptions import (
     DistanceError,
     FaultInjectedError,
     GraphError,
+    ReproError,
 )
 from repro.graph.generators import barabasi_albert_graph
 from repro.resilience import (
@@ -50,6 +56,9 @@ from repro.ted.batch import batch_available
 
 #: Seeded fault schedules this run sweeps (CI sets several; see ci.yml).
 SEEDS = [int(token) for token in os.environ.get("REPRO_CHAOS_SEEDS", "0").split(",")]
+
+#: Byte mutations per persisted file and seed.
+MUTATIONS = 300
 
 
 @pytest.fixture(scope="module")
@@ -64,6 +73,7 @@ def arena(tmp_path_factory, graph):
     # k = 4: at k <= 3 the degree tier pins every pair, so no pair would
     # reach the cache, the kernel or the process pool the faults target.
     dense = TreeStore.from_graph(graph, k=4)
+    dense.save(root / "store.ned")
     save_sharded(dense, root / "store", shards=4)
     store = ShardedTreeStore.load(root / "store", max_resident=2)
     with NedSession(store, cache_file=root / "cache.ned", resilience=False) as session:
@@ -245,8 +255,8 @@ class TestExactTierDegradation:
 
 
 class TestExecutorChaos:
-    def test_worker_kill_restarts_the_pool_bit_identical(
-        self, arena, tmp_path, graph
+    def test_worker_kill_falls_back_bit_identical(
+        self, arena, tmp_path, graph, attached_pool
     ):
         store_dir, sidecar = _fresh_artifacts(arena, tmp_path)
         plan = FaultPlan(
@@ -257,19 +267,80 @@ class TestExecutorChaos:
             warnings.simplefilter("always")
             # No sidecar: a warm cache would answer every pair before any
             # chunk reached the pool, and the site would never activate.
-            with NedSession(
-                store, executor="process", max_workers=2, faults=plan
-            ) as session:
+            with NedSession(store, faults=plan) as session:
+                attached_pool(session)
                 matrix = session.pairwise_matrix(mode="exact", chunk_size=16)
         assert matrix.values == arena["reference"][0]
-        # The restarted pool recomputes only the blocks that never returned.
+        # The blocks the dead pool never returned run locally, once each.
         assert matrix.stats.exact_evaluations == arena["counters"]["matrix"]
+        assert matrix.executor_used == "serial (fallback: BrokenProcessPool)"
         snapshot = session.metrics_snapshot()
-        assert snapshot["resilience"]["pool_restarts"] == 1
-        assert snapshot["resilience"]["serial_fallbacks"] == 0
+        assert snapshot["resilience"]["serial_fallbacks"] == 1
         messages = [str(w.message) for w in caught
                     if issubclass(w.category, ResilienceWarning)]
-        assert any("restarting" in message for message in messages)
+        assert any("evaluated locally" in message for message in messages)
+
+
+@contextmanager
+def _bounded_heap(headroom=256 << 20):
+    """Cap this process's data segment at ``headroom`` above its use.
+
+    A mutated memo index makes ``pickle.load`` grow and zero a memo table
+    of up to gigabytes.  Under the cap that allocation fails with a
+    ``MemoryError``, which the loaders type, instead of taking the RAM.
+    """
+    import resource
+
+    status = Path("/proc/self/status")
+    if not status.exists():
+        yield
+        return
+    used = int(re.search(r"VmData:\s+(\d+) kB", status.read_text()).group(1)) << 10
+    soft, hard = resource.getrlimit(resource.RLIMIT_DATA)
+    cap = used + headroom
+    if hard != resource.RLIM_INFINITY:
+        cap = min(cap, hard)
+    resource.setrlimit(resource.RLIMIT_DATA, (cap, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_DATA, (soft, hard))
+
+
+class TestByteMutationFuzz:
+    """Seeded 1–3-byte mutations of a persisted file load or fail typed."""
+
+    @pytest.mark.parametrize("artifact", ["sidecar", "store"])
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_mutation_loads_or_raises_repro_error(
+        self, arena, tmp_path, artifact, seed
+    ):
+        if artifact == "sidecar":
+            source = arena["root"] / "cache.ned"
+            load = NedSession(None, k=4).resolver.cache.load
+        else:
+            source = arena["root"] / "store.ned"
+            load = TreeStore.load
+        original = source.read_bytes()
+        mutated = tmp_path / source.name
+        rng = random.Random(f"{artifact}:{seed}")
+        typed = 0
+        with _bounded_heap():
+            for _ in range(MUTATIONS):
+                data = bytearray(original)
+                for _ in range(rng.randint(1, 3)):
+                    data[rng.randrange(len(data))] = rng.randrange(256)
+                mutated.write_bytes(bytes(data))
+                try:
+                    load(mutated)  # anything but a ReproError fails the test
+                except ReproError:
+                    typed += 1
+        assert typed > 0
+
+    def test_directory_path_raises_typed(self, tmp_path):
+        # A sidecar directory is covered end to end by ned-serve's CLI test.
+        with pytest.raises(GraphError, match="is not a TreeStore file"):
+            TreeStore.load(tmp_path)
 
 
 class TestServingChaos:

@@ -45,7 +45,7 @@ def ba_store(ba_graph):
 def deep_store(ba_graph):
     """The same graph at k = 4, where pairs still reach the exact tier.
 
-    At k <= 3 the degree tier pins every pair, so executor, chunking and
+    At k <= 3 the degree tier pins every pair, so worker-pool, chunking and
     fallback checks on ``ba_store`` would never see a chunk.
     """
     return TreeStore.from_graph(ba_graph, k=4)
@@ -207,14 +207,16 @@ class TestDistanceMatrix:
             for j, v in enumerate(matrix.col_nodes):
                 assert matrix.values[i][j] == ned(graph, u, graph, v, k=k)
 
-    def test_bound_prune_and_process_match_serial(self, deep_store):
-        serial = pairwise_distance_matrix(deep_store, mode="exact", executor="serial")
+    def test_bound_prune_and_process_match_serial(self, deep_store, attached_pool):
+        serial = pairwise_distance_matrix(deep_store, mode="exact")
         pruned = pairwise_distance_matrix(deep_store, mode="bound-prune")
-        process = pairwise_distance_matrix(
-            deep_store, mode="exact", executor="process", chunk_size=100
-        )
+        with NedSession(deep_store) as session:
+            attached_pool(session)
+            process = session.pairwise_matrix(mode="exact", chunk_size=100)
+            counters = session.metrics_snapshot()["counters"]
         assert pruned.values == serial.values
         assert process.values == serial.values
+        assert counters["serving.dispatch_blocks"] > 0
         assert pruned.stats.exact_evaluations <= serial.stats.exact_evaluations
 
     def test_each_bound_tier_skips_more_exact_work(self, deep_store):
@@ -287,29 +289,16 @@ class TestDistanceMatrix:
         with pytest.raises(DistanceError):
             pairwise_distance_matrix(ba_store, mode="psychic")
         with pytest.raises(DistanceError):
-            pairwise_distance_matrix(ba_store, executor="threads-of-fate")
-        with pytest.raises(DistanceError):
             pairwise_distance_matrix(ba_store, chunk_size=0)
         with pytest.raises(DistanceError):
             pairwise_distance_matrix(ba_store, mode="bound-prune", threshold=-1.0)
 
-    def test_custom_executor_callable_rejected(self, deep_store):
-        # Exact blocks have one route (resolve_many -> exact_many -> worker
-        # pool or local kernel); there is no callable-executor contract.
-        with pytest.raises(DistanceError, match="executor"):
-            pairwise_distance_matrix(deep_store, executor=lambda blocks: [])
-        with NedSession(deep_store) as session:
-            with pytest.raises(DistanceError, match="executor"):
-                session.pairwise_matrix(executor=lambda blocks: [])
-
-    def test_broken_pool_falls_back_to_serial(self, deep_store):
-        # No retry budget: the first killed block makes the pool give up,
+    def test_broken_pool_falls_back_to_serial(self, deep_store, attached_pool):
+        # A pool never restarts: the first killed block makes it give up,
         # and the whole build runs locally.
         plan = FaultPlan([FaultSpec("executor.dispatch", kind="kill")])
-        with NedSession(
-            deep_store, executor="process", max_workers=2, faults=plan,
-            resilience=False,
-        ) as session:
+        with NedSession(deep_store, faults=plan, resilience=False) as session:
+            attached_pool(session)
             with pytest.warns(ResilienceWarning, match="evaluated locally"):
                 matrix = session.pairwise_matrix()
             fallbacks = session.metrics_snapshot()["resilience"]["serial_fallbacks"]
@@ -610,15 +599,17 @@ class TestZeroCopyProcessExecutor:
         for (i, j), value in zip([(0, 5), (2, 9)], values):
             assert value == ned_from_trees(entries[i].tree, entries[j].tree, ba_store.k)
 
-    def test_cross_matrix_process_matches_serial(self):
+    def test_cross_matrix_process_matches_serial(self, attached_pool):
         graph_a = barabasi_albert_graph(20, 2, seed=21)
         graph_b = barabasi_albert_graph(22, 2, seed=22)
         store_a = TreeStore.from_graph(graph_a, k=4)
         store_b = TreeStore.from_graph(graph_b, k=4)
-        serial = cross_distance_matrix(store_a, store_b, executor="serial")
-        process = cross_distance_matrix(
-            store_a, store_b, executor="process", chunk_size=37
-        )
+        serial = cross_distance_matrix(store_a, store_b)
+        with NedSession(store_a) as session:
+            attached_pool(session)
+            process = session.cross_matrix(store_b, chunk_size=37)
+            counters = session.metrics_snapshot()["counters"]
+        assert counters["serving.dispatch_blocks"] > 0
         assert process.values == serial.values
 
 
@@ -627,8 +618,8 @@ class TestIncrementalFallback:
 
     CHUNK = 100
 
-    def _killed_build(self, store, after, local_calls):
-        """A process build whose pool dies at block ``after``; no restarts.
+    def _killed_build(self, store, after, local_calls, attached_pool):
+        """A build whose attached pool dies at block ``after``.
 
         ``batch=False`` keeps the parent's local exact tier per pair, so
         counting ``ted_star`` calls in the resolver counts exactly the
@@ -638,19 +629,21 @@ class TestIncrementalFallback:
             [FaultSpec("executor.dispatch", kind="kill", after=after)]
         )
         with NedSession(
-            store, executor="process", max_workers=2, cache_size=0,
-            batch=False, resilience=False, faults=plan,
+            store, cache_size=0, batch=False, resilience=False, faults=plan,
         ) as session:
+            attached_pool(session)
             with pytest.warns(ResilienceWarning):
                 result = session.pairwise_matrix(chunk_size=self.CHUNK)
             counters = session.metrics_snapshot()["counters"]
         return result, counters, local_calls[0]
 
-    def test_only_remaining_chunks_recomputed(self, deep_store, ted_star_calls):
+    def test_only_remaining_chunks_recomputed(
+        self, deep_store, ted_star_calls, attached_pool
+    ):
         returned = 2
         total_pairs = len(deep_store) * (len(deep_store) - 1) // 2
         result, counters, local = self._killed_build(
-            deep_store, returned, ted_star_calls
+            deep_store, returned, ted_star_calls, attached_pool
         )
         assert result.executor_used == "serial (fallback: BrokenExecutor)"
         assert counters["serving.dispatch_blocks"] == returned
@@ -662,9 +655,13 @@ class TestIncrementalFallback:
             reference = session.pairwise_matrix()
         assert result.values == reference.values
 
-    def test_immediate_break_recomputes_everything(self, deep_store, ted_star_calls):
+    def test_immediate_break_recomputes_everything(
+        self, deep_store, ted_star_calls, attached_pool
+    ):
         total_pairs = len(deep_store) * (len(deep_store) - 1) // 2
-        result, counters, local = self._killed_build(deep_store, 0, ted_star_calls)
+        result, counters, local = self._killed_build(
+            deep_store, 0, ted_star_calls, attached_pool
+        )
         assert result.executor_used == "serial (fallback: BrokenExecutor)"
         assert counters.get("serving.dispatch_blocks", 0) == 0
         assert local == total_pairs

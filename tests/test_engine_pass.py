@@ -82,7 +82,6 @@ RESILIENCE_EVENTS = (
     "degrades",
     "sidecar_cold_starts",
     "sidecar_save_failures",
-    "pool_restarts",
     "serial_fallbacks",
 )
 

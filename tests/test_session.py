@@ -480,12 +480,6 @@ class TestReviewRegressions:
             )
             assert 0.0 <= session.stats.pruning_ratio <= 1.0
 
-    def test_unknown_executor_rejected_at_open(self, store):
-        with pytest.raises(DistanceError, match="executor"):
-            NedSession(store, executor="proces")
-        with pytest.raises(DistanceError, match="executor"):
-            NedSession(store, executor=lambda blocks: [])
-
     def test_session_adopts_sidecar_hit_counts(self, graph, store, tmp_path):
         # Hotness must accumulate across session lifecycles: open -> queries
         # -> save-on-close -> reopen, with hit counts carried forward (the
